@@ -12,7 +12,7 @@ from .weighting import (
     singletask_train,
     tune_alphas,
 )
-from .harness import ExperimentConfig, evaluate_accuracy, run_experiment, report
+from .harness import ExperimentConfig, run_experiment, report
 
 __version__ = "0.1.0"
 
@@ -32,7 +32,6 @@ __all__ = [
     "singletask_train",
     "tune_alphas",
     "ExperimentConfig",
-    "evaluate_accuracy",
     "run_experiment",
     "report",
 ]

@@ -8,6 +8,7 @@ from pathlib import Path
 
 from . import data as datamod
 from . import harness
+from .errors import ConfigError
 
 
 def _cmd_generate(args):
@@ -80,7 +81,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except (harness.ConfigError, harness.ReportError, datamod.IdxFormatError, FileNotFoundError) as exc:
+    except (ConfigError, harness.ReportError, datamod.IdxFormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -28,6 +28,8 @@ from functools import lru_cache
 import numpy as np
 from scipy import ndimage
 
+from .errors import ConfigError
+
 TASK_TOP_LEFT = "tl"
 TASK_BOTTOM_RIGHT = "br"
 CACHE_MAGIC = b"MM01"
@@ -38,10 +40,6 @@ IDX_LABELS_MAGIC = 0x00000801
 
 class IdxFormatError(ValueError):
     """Malformed IDX input; message carries the byte offset of the problem."""
-
-
-class ConfigError(ValueError):
-    pass
 
 
 @dataclass

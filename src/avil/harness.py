@@ -7,14 +7,12 @@ one row per (seed, task), and ``aggregate.csv`` with min/max/mean/std over
 seeds. Accuracies in CSV files are percentages; standard deviations are
 population (not sample) deviations, as the ``*_std_pop`` naming records.
 
-Reruns with an identical configuration and AVIL_WORKERS=1 produce
-byte-identical CSV files; with more workers, only delta collection
-parallelizes and its reduction order is fixed, so results do not change.
+Reruns with an identical configuration produce byte-identical CSV files
+and checkpoints (tests/test_training.py).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -22,10 +20,9 @@ import numpy as np
 
 from . import data as datamod
 from . import weighting
+from .errors import ConfigError
 from .model import build_model, save_checkpoint
 from .weighting import NanLossError, TrainerConfig
-
-ConfigError = weighting.ConfigError
 
 
 class ReportError(RuntimeError):
@@ -35,6 +32,7 @@ class ReportError(RuntimeError):
 DESK_TRAIN_SUBSET = 10_000
 DEV_SIZE = 10_000
 METHODS = ("singletask", "multitask", "diw", "avil")
+TARGETS = (datamod.TASK_TOP_LEFT, datamod.TASK_BOTTOM_RIGHT)
 
 
 @dataclass
@@ -68,6 +66,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}; expected one of {METHODS}")
+        if self.target not in TARGETS:
+            raise ConfigError(f"unknown target {self.target!r}; expected one of {TARGETS}")
         if self.scale not in ("desk", "full"):
             raise ConfigError(f"scale must be 'desk' or 'full', got {self.scale!r}")
         if self.scale == "desk" and len(self.seeds) > 5:
@@ -101,7 +101,6 @@ class ExperimentConfig:
             diw_eta=self.diw_eta,
             diw_patience=self.diw_patience,
             eval_batch_size=self.eval_batch_size,
-            workers=env_workers(),
             dtype=self.dtype,
         )
 
@@ -109,15 +108,6 @@ class ExperimentConfig:
         if self.method in ("singletask", "avil", "diw"):
             return f"{self.method}-{self.target}"
         return self.method
-
-
-def env_workers():
-    """AVIL_WORKERS caps parallel delta-collection workers; default 1."""
-    raw = os.environ.get("AVIL_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"AVIL_WORKERS must be an integer, got {raw!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +161,10 @@ def parse_config_text(text, base=None):
         if key not in _KEY_MAP:
             raise ConfigError(f"line {lineno}: unknown configuration key {key!r}")
         attr, conv = _KEY_MAP[key]
-        values[attr] = _parse_seeds(raw) if conv == "seeds" else conv(raw)
+        try:
+            values[attr] = _parse_seeds(raw) if conv == "seeds" else conv(raw)
+        except ValueError:
+            raise ConfigError(f"line {lineno}: bad value {raw!r} for {key!r}") from None
     base = base or ExperimentConfig()
     return replace(base, **values)
 
@@ -193,7 +186,6 @@ def config_echo(config):
         lines.append(f"{f.name}={value}")
     lines.append(f"effective_epochs={config.effective_epochs}")
     lines.append(f"effective_subset={config.effective_subset}")
-    lines.append(f"workers={env_workers()}")
     return "\n".join(lines) + "\n"
 
 
@@ -228,8 +220,10 @@ def load_pools(config):
     if source == "idx":
         train_images, train_labels = datamod.load_idx(*datamod.find_idx_pair(directory, "train"))
         test_images, test_labels = datamod.load_idx(*datamod.find_idx_pair(directory, "t10k"))
-        assert len(train_images) == 60_000, f"train pool has {len(train_images)} images, expected 60000"
-        assert len(test_images) == 10_000, f"test set has {len(test_images)} images, expected 10000"
+        if len(train_images) != 60_000:
+            raise ConfigError(f"{directory}: train pool has {len(train_images)} images, expected 60000")
+        if len(test_images) != 10_000:
+            raise ConfigError(f"{directory}: test set has {len(test_images)} images, expected 10000")
         return (
             datamod.make_multimnist(train_images, train_labels, config.pair_seed, split="train"),
             datamod.make_multimnist(test_images, test_labels, config.pair_seed, split="test"),
@@ -258,12 +252,6 @@ def seed_datasets(config, train_pool, seed):
 
 # ---------------------------------------------------------------------------
 # metrics
-
-
-def evaluate_accuracy(model, dataset, task, batch_size=512):
-    """Fraction of argmax-correct predictions (ties to the lowest class)."""
-    acc, _ = weighting.evaluate(model, dataset, task, batch_size)
-    return acc
 
 
 def aggregate_values(values):
@@ -394,7 +382,7 @@ def run_experiment(config, pools=None):
         for task, best in sorted(result.best.items()):
             eval_model = build_model(result.task_ids, seed, dtype=trainer_cfg.np_dtype)
             eval_model.restore(best.params)
-            test_acc = evaluate_accuracy(eval_model, test_set, task, config.eval_batch_size)
+            test_acc, _ = weighting.evaluate(eval_model, test_set, task, config.eval_batch_size)
             suffix = f"_{task}" if len(result.best) > 1 else ""
             save_checkpoint(run_dir / f"seed{seed}{suffix}.ckpt", best.params, result.task_ids)
             summary_rows.append({

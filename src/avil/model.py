@@ -8,8 +8,8 @@ task. 28x28 input gives 24 -> 12 -> 8 -> 4 spatial sizes, hence the 320
 Parameters are exposed as a flat "parameter vector" in a canonical fixed
 order: encoder parameters first (conv1 w/b, conv2 w/b, fc w/b), then each
 head's w/b with heads sorted by task id. Deltas, snapshots and mixed
-updates from different workers therefore always align. Snapshot/restore
-round-trips are bit-exact.
+updates therefore always align. Snapshot/restore round-trips are
+bit-exact.
 
 Initialization is uniform in +/- 1/sqrt(fan_in) per layer, drawn from a
 seeded generator in canonical parameter order; the scheme is a local
@@ -23,6 +23,7 @@ import struct
 import numpy as np
 
 from . import autodiff as ad
+from .errors import ConfigError
 
 ENCODER_SHAPES = (
     ("conv1_w", (10, 1, 5, 5)),
@@ -39,10 +40,6 @@ ENCODER_PARAMS = sum(int(np.prod(s)) for _, s in ENCODER_SHAPES)  # 21330
 
 CHECKPOINT_MAGIC = b"AVIL"
 CHECKPOINT_VERSION = 1
-
-
-class ConfigError(ValueError):
-    """Invalid model or run configuration."""
 
 
 class UnknownTaskError(KeyError):
@@ -164,11 +161,6 @@ class MultiHeadModel:
     def zero_grad(self):
         for p in self.parameters():
             p.grad = None
-
-    def clone(self):
-        m = MultiHeadModel(self.task_ids, self.seed, dtype=self.dtype)
-        m.restore(self.snapshot())
-        return m
 
 
 def build_model(task_ids, seed, dtype=np.float64):

@@ -1,18 +1,16 @@
 """SGD with classic momentum, plus the task-weight clamp.
 
 One optimizer state per optimized variable; velocity is zero-initialized
-and never shared between workers. Training code creates a fresh state at
-every epoch boundary so that updates collected from a restored snapshot
-carry no velocity from before the restore.
+and never shared. Training code creates a fresh state at every epoch
+boundary so that updates collected from a restored snapshot carry no
+velocity from before the restore.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-
-class ConfigError(ValueError):
-    pass
+from .errors import ConfigError
 
 
 class SgdState:

@@ -14,7 +14,11 @@ All epoch passes accumulate their update as a displacement from the epoch
 base rather than mutating parameters in place. This keeps two exactness
 properties bit-true: scaling a loss by an exact power of two scales the
 collected delta by the same factor, and an avil run over a single task
-with alpha pinned to 1 retraces singletask training exactly.
+with alpha pinned to 1 retraces singletask training exactly
+(tests/test_training.py::test_one_task_avil_with_unit_alphas_is_singletask).
+
+All four regimes share one epoch loop (``_run``): each supplies only the
+step that proposes the next epoch's base parameters.
 
 The alpha gradient is computed analytically as g_i = <delta_i, grad of the
 dev loss at the mixed parameters>, so one dev-set gradient pass per tuning
@@ -23,7 +27,6 @@ step serves every task.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,9 +34,8 @@ import numpy as np
 from . import autodiff as ad
 from . import optim
 from .data import chunk_indices, sample_fraction, batches
+from .errors import ConfigError
 from .model import build_model, combine
-
-ConfigError = optim.ConfigError
 
 
 class NanLossError(RuntimeError):
@@ -54,13 +56,12 @@ class TrainerConfig:
     diw_eta: float = 0.1
     diw_patience: int = 10
     eval_batch_size: int = 512
-    workers: int = 1
     dtype: str = "float64"
 
     def __post_init__(self):
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        for name in ("batch_size", "tune_steps", "diw_patience", "eval_batch_size", "workers"):
+        for name in ("batch_size", "tune_steps", "diw_patience", "eval_batch_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name in ("learning_rate", "meta_learning_rate", "clamp_floor", "diw_eta"):
@@ -272,38 +273,52 @@ def _update_best(best, task, epoch, acc, params):
         best[task] = BestSnapshot(epoch=epoch, dev_accuracy=acc, params=params.copy())
 
 
-def _initial_result(model, dev_set, tasks, cfg, seed_tasks=None):
+def _run(model, dev_set, target, cfg, step):
+    """The epoch loop every regime shares.
+
+    ``step(epoch, base, best)`` proposes the next base parameters and
+    returns (next base, per-task mean train loss, extra EpochRow fields).
+    After each step every task is evaluated at the new base. Best snapshots
+    track ``target``, or every task when ``target`` is None; only a run
+    with a target records its dev loss.
+    """
+    tasks = model.task_ids
+    tracked = tasks if target is None else [target]
     base = model.snapshot()
     best = {}
-    for task in seed_tasks or tasks:
+    for task in tracked:
         acc, _ = evaluate(model, dev_set, task, cfg.eval_batch_size)
         _update_best(best, task, 0, acc, base)
-    return base, best
-
-
-def singletask_train(train_set, dev_set, task, cfg, seed, init_params=None, epoch_hook=None):
-    """Plain mini-batch SGD on one task; model has only that task's head."""
-    model = build_model([task], seed, dtype=cfg.np_dtype)
-    if init_params is not None:
-        model.restore(init_params)
-    base, best = _initial_result(model, dev_set, [task], cfg)
     rows = []
     for epoch in range(1, cfg.epochs + 1):
+        base, train_losses, extra = step(epoch, base, best)
+        model.restore(base)
+        accs, losses = {}, {}
+        for task in tasks:
+            accs[task], losses[task] = evaluate(model, dev_set, task, cfg.eval_batch_size)
+        for task in tracked:
+            _update_best(best, task, epoch, accs[task], base)
+        target_loss = None if target is None else losses[target]
+        rows.append(EpochRow(epoch, train_losses, accs, target_dev_loss=target_loss, **extra))
+    return TrainResult(tasks, rows, best)
+
+
+def singletask_train(train_set, dev_set, task, cfg, seed):
+    """Plain mini-batch SGD on one task; model has only that task's head."""
+    model = build_model([task], seed, dtype=cfg.np_dtype)
+
+    def step(epoch, base, best):
         order = sample_fraction(train_set, cfg.rho, seed, epoch, key=task)
         disp, raw = _epoch_pass(
             model, base, chunk_indices(order, cfg.batch_size), train_set,
             _single_loss(train_set, task), cfg.learning_rate, cfg.momentum,
         )
-        base = base + disp
-        acc, dev_loss = evaluate(model, dev_set, task, cfg.eval_batch_size)
-        _update_best(best, task, epoch, acc, base)
-        rows.append(EpochRow(epoch, raw, {task: acc}, target_dev_loss=dev_loss))
-        if epoch_hook is not None:
-            epoch_hook(epoch, base.copy())
-    return TrainResult([task], rows, best)
+        return base + disp, raw, {}
+
+    return _run(model, dev_set, task, cfg, step)
 
 
-def multitask_train(train_set, dev_set, tasks, cfg, seed, init_params=None):
+def multitask_train(train_set, dev_set, tasks, cfg, seed):
     """Joint training: per batch, the mean of all task losses on shared input.
 
     Keeps one best snapshot per task.
@@ -312,108 +327,53 @@ def multitask_train(train_set, dev_set, tasks, cfg, seed, init_params=None):
     if len(tasks) < 2:
         raise ConfigError("multitask training requires at least two tasks")
     model = build_model(tasks, seed, dtype=cfg.np_dtype)
-    if init_params is not None:
-        model.restore(init_params)
-    base, best = _initial_result(model, dev_set, tasks, cfg)
-    rows = []
     uniform = [1.0 / len(tasks)] * len(tasks)
-    for epoch in range(1, cfg.epochs + 1):
+
+    def step(epoch, base, best):
         batch_list = batches(train_set, cfg.batch_size, seed, epoch)
         disp, raw = _epoch_pass(
             model, base, batch_list, train_set,
             _joint_loss(train_set, tasks, uniform), cfg.learning_rate, cfg.momentum,
         )
-        base = base + disp
-        accs = {}
-        for task in tasks:
-            acc, _ = evaluate(model, dev_set, task, cfg.eval_batch_size)
-            accs[task] = acc
-            _update_best(best, task, epoch, acc, base)
-        rows.append(EpochRow(epoch, raw, accs))
-    return TrainResult(tasks, rows, best)
+        return base + disp, raw, {}
+
+    return _run(model, dev_set, None, cfg, step)
 
 
-def avil_train(train_set, dev_set, tasks, target, cfg, seed,
-               alpha_override=None, tune_hook=None, init_params=None, epoch_hook=None):
-    """Delta-collection + alpha-tuning training loop optimizing one target task.
-
-    ``alpha_override`` pins the mixing coefficients (skipping tuning); it
-    exists for diagnostics and for the degenerate single-task reduction.
-    ``tune_hook`` observes every tuning step; ``epoch_hook`` every epoch-end
-    parameter vector.
-    """
+def avil_train(train_set, dev_set, tasks, target, cfg, seed):
+    """Delta-collection + alpha-tuning training loop optimizing one target task."""
     tasks = sorted(tasks)
     if target not in tasks:
         raise ConfigError(f"target {target!r} not in tasks {tasks}")
     model = build_model(tasks, seed, dtype=cfg.np_dtype)
-    if init_params is not None:
-        model.restore(init_params)
-    base, best = _initial_result(model, dev_set, tasks, cfg, seed_tasks=[target])
     weights = np.ones(len(tasks), dtype=np.float64)
-    rows = []
-    for epoch in range(1, cfg.epochs + 1):
+
+    def step(epoch, base, best):
+        nonlocal weights
         w_norm = weights / weights.sum()
-        deltas, train_losses = _collect_all(model, base, tasks, w_norm, train_set, cfg, seed, epoch)
-        if alpha_override is not None:
-            alphas = np.asarray(alpha_override, dtype=np.float64)
-        else:
-            loss_grad = dev_loss_grad(model, dev_set, target, cfg.eval_batch_size)
-            alphas = tune_alphas(
-                loss_grad, base, deltas,
-                steps=cfg.tune_steps,
-                learning_rate=cfg.meta_learning_rate,
-                momentum=cfg.meta_momentum,
-                on_step=tune_hook,
-            )
-        base = combine(base, deltas, alphas)
-        model.restore(base)
+        deltas, train_losses = [], {}
+        for i, task in enumerate(tasks):
+            order = sample_fraction(train_set, cfg.rho, seed, epoch, key=task)
+            delta, train_losses[task] = collect_delta(model, base, task, w_norm[i], order, train_set, cfg)
+            deltas.append(delta)
+        loss_grad = dev_loss_grad(model, dev_set, target, cfg.eval_batch_size)
+        alphas = tune_alphas(
+            loss_grad, base, deltas,
+            steps=cfg.tune_steps,
+            learning_rate=cfg.meta_learning_rate,
+            momentum=cfg.meta_momentum,
+        )
         weights = optim.clamp_weights(weights + (alphas - 1.0), cfg.clamp_floor)
-        accs = {}
-        target_loss = None
-        for task in tasks:
-            acc, loss = evaluate(model, dev_set, task, cfg.eval_batch_size)
-            accs[task] = acc
-            if task == target:
-                target_loss = loss
-        _update_best(best, target, epoch, accs[target], base)
-        rows.append(EpochRow(
-            epoch, train_losses, accs,
-            target_dev_loss=target_loss,
+        return combine(base, deltas, alphas), train_losses, dict(
             alphas={t: float(a) for t, a in zip(tasks, alphas)},
             weights={t: float(w) for t, w in zip(tasks, weights)},
             delta_norms={t: float(np.linalg.norm(d)) for t, d in zip(tasks, deltas)},
-        ))
-        if epoch_hook is not None:
-            epoch_hook(epoch, base.copy())
-    return TrainResult(tasks, rows, best)
+        )
+
+    return _run(model, dev_set, target, cfg, step)
 
 
-def _collect_all(model, base, tasks, w_norm, train_set, cfg, seed, epoch):
-    """Per-task deltas for one epoch, optionally on parallel workers.
-
-    Deltas are reduced in sorted task order regardless of worker count, so
-    results are worker-count invariant.
-    """
-    orders = {t: sample_fraction(train_set, cfg.rho, seed, epoch, key=t) for t in tasks}
-    if cfg.workers > 1 and len(tasks) > 1:
-        def job(item):
-            i, task = item
-            worker_model = model.clone()
-            return collect_delta(worker_model, base, task, w_norm[i], orders[task], train_set, cfg)
-
-        with ThreadPoolExecutor(max_workers=min(cfg.workers, len(tasks))) as pool:
-            results = list(pool.map(job, enumerate(tasks)))
-    else:
-        results = [
-            collect_delta(model, base, task, w_norm[i], orders[task], train_set, cfg)
-            for i, task in enumerate(tasks)
-        ]
-    deltas = [delta for delta, _ in results]
-    losses = {task: loss for task, (_, loss) in zip(tasks, results)}
-    return deltas, losses
-
-
-def diw_train(train_set, dev_set, tasks, target, cfg, seed, init_params=None):
+def diw_train(train_set, dev_set, tasks, target, cfg, seed):
     """Discriminative importance weighting with a reset-and-retrain inner loop.
 
     Per epoch: each task contributes an unweighted single-task epoch from
@@ -427,13 +387,10 @@ def diw_train(train_set, dev_set, tasks, target, cfg, seed, init_params=None):
     if target not in tasks:
         raise ConfigError(f"target {target!r} not in tasks {tasks}")
     model = build_model(tasks, seed, dtype=cfg.np_dtype)
-    if init_params is not None:
-        model.restore(init_params)
-    base, best = _initial_result(model, dev_set, tasks, cfg, seed_tasks=[target])
     weights = np.ones(len(tasks), dtype=np.float64)
-    best_acc = best[target].dev_accuracy
-    rows = []
-    for epoch in range(1, cfg.epochs + 1):
+
+    def step(epoch, base, best):
+        nonlocal weights
         batch_list = batches(train_set, cfg.batch_size, seed, epoch)
         single_acc = np.zeros(len(tasks))
         for i, task in enumerate(tasks):
@@ -443,7 +400,6 @@ def diw_train(train_set, dev_set, tasks, target, cfg, seed, init_params=None):
             )
             single_acc[i], _ = evaluate(model, dev_set, target, cfg.eval_batch_size)
             model.restore(base)
-        accepted = None
         candidates = []
         for attempt in range(1, cfg.diw_patience + 1):
             w_norm = weights / weights.sum()
@@ -453,28 +409,16 @@ def diw_train(train_set, dev_set, tasks, target, cfg, seed, init_params=None):
             )
             a_joint, _ = evaluate(model, dev_set, target, cfg.eval_batch_size)
             candidates.append((a_joint, attempt, base + disp, raw))
-            if a_joint > best_acc:
-                accepted = candidates[-1]
+            if a_joint > best[target].dev_accuracy:
                 break
             weights = optim.clamp_weights(weights + cfg.diw_eta * (single_acc - a_joint), cfg.clamp_floor)
             model.restore(base)
-        if accepted is None:
-            accepted = max(candidates, key=lambda c: (c[0], -c[1]))
-        a_joint, _, base, raw = accepted
-        model.restore(base)
-        best_acc = max(best_acc, a_joint)
-        accs = {}
-        target_loss = None
-        for task in tasks:
-            acc, loss = evaluate(model, dev_set, task, cfg.eval_batch_size)
-            accs[task] = acc
-            if task == target:
-                target_loss = loss
-        _update_best(best, target, epoch, accs[target], base)
-        rows.append(EpochRow(
-            epoch, raw, accs,
-            target_dev_loss=target_loss,
+        # an accepted attempt is the only one above the best accuracy, so
+        # it is also the most accurate candidate
+        _, _, next_base, raw = max(candidates, key=lambda c: (c[0], -c[1]))
+        return next_base, raw, dict(
             weights={t: float(w) for t, w in zip(tasks, weights)},
             diw_attempts=len(candidates),
-        ))
-    return TrainResult(tasks, rows, best)
+        )
+
+    return _run(model, dev_set, target, cfg, step)
