@@ -1,16 +1,26 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 A :class:`Tape` records every differentiable operation executed while it is
-active; :func:`backward` replays the records in reverse to accumulate
-gradients on all tracked tensors. The op set is deliberately small: exactly
-what a LeNet-style convolutional classifier with per-task linear heads
-needs, plus a few helpers (reshape, add, scale, tensor_sum) used to compose
-losses. No broadcasting beyond bias addition and scalar scaling.
+active; :func:`backward` replays the records in reverse and accumulates
+gradients onto the leaves, the tracked tensors that no op on the tape
+produced (model parameters, tracked inputs). The op set is deliberately
+small: exactly what a LeNet-style convolutional classifier with per-task
+linear heads needs, plus a few helpers (reshape, add, scale, tensor_sum)
+used to compose losses. No broadcasting beyond bias addition and scalar
+scaling.
+
+A record names an operand produced on the same tape by its node index and
+holds only leaves as tensors; backward rules capture arrays, shapes and
+dtypes, never tensors. An op output points to its tape but the tape never
+points back, so a graph is freed by reference counting as soon as its last
+output is dropped, without waiting for the cyclic garbage collector.
 
 Convolution is valid (no padding), stride 1, with cross-correlation
-semantics (no kernel flip). Max pooling is non-overlapping 2x2, ties broken
-by the first element in row-major window order so that training runs are
-bit-reproducible.
+semantics (no kernel flip). Its output is a (batch, channel, h, w) view of
+channel-major memory, and its input gradient a view of batch-innermost
+memory; every op accepts such views. Max pooling is non-overlapping 2x2,
+ties broken by the first element in row-major window order so that
+training runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -29,18 +39,21 @@ class Tensor:
     """N-dimensional real array plus an optional gradient of the same shape.
 
     ``tracked`` marks participation in differentiation: ops record a backward
-    rule only for tracked operands, and only tracked tensors receive a
-    ``grad`` from :func:`backward`. Data is immutable by convention after an
-    op creates it; only ``grad`` accumulates.
+    rule only for tracked operands. An op output recorded on a tape carries
+    that ``tape`` and its ``node`` index there; only leaves (tracked tensors
+    that no op on the loss's tape produced) receive a ``grad`` from
+    :func:`backward`. Data is immutable by convention after an op creates
+    it; only ``grad`` accumulates.
     """
 
-    __slots__ = ("data", "grad", "tracked", "tape")
+    __slots__ = ("data", "grad", "tracked", "tape", "node")
 
     def __init__(self, data, tracked=False, dtype=None):
         self.data = np.asarray(data, dtype=dtype)
         self.grad = None
         self.tracked = bool(tracked)
         self.tape = None
+        self.node = None
 
     @property
     def shape(self):
@@ -85,9 +98,11 @@ def active_tape():
 class Tape:
     """Ordered record of operations for one reverse-mode pass.
 
-    Each record pairs the op's output with the backward rules of its tracked
-    operands. Tapes are confined to the thread that opened them; independent
-    tapes on separate threads do not interact.
+    Record ``i`` belongs to the op output with ``node == i`` and lists the
+    backward rules of its tracked operands, each keyed by the operand's node
+    index on this tape, or by the operand itself when it is a leaf. Tapes
+    are confined to the thread that opened them; independent tapes on
+    separate threads do not interact.
     """
 
     def __init__(self):
@@ -102,53 +117,57 @@ class Tape:
         assert popped is self
         return False
 
-    def record(self, out, rules):
-        self._records.append((out, rules))
+    def record(self, rules):
+        """Append one op's rules; returns the node index of its output."""
+        self._records.append(rules)
+        return len(self._records) - 1
 
     def __len__(self):
         return len(self._records)
 
 
-def _make(data, inputs, rules):
-    """Wrap an op result, recording backward rules if a tape is active."""
+def _make(data, rules):
+    """Wrap an op result, recording the rules of tracked operands if a tape is active."""
     out = Tensor(data)
     tape = active_tape()
-    if tape is not None and any(t.tracked for t in inputs):
+    if tape is not None and any(t.tracked for t, _ in rules):
         out.tracked = True
         out.tape = tape
-        tape.record(out, tuple((t, fn) for t, fn in rules if t.tracked))
+        out.node = tape.record(
+            tuple((t.node if t.tape is tape else t, fn) for t, fn in rules if t.tracked)
+        )
     return out
 
 
 def backward(loss):
-    """Accumulate gradients of ``loss`` onto every tracked tensor feeding it.
+    """Accumulate gradients of ``loss`` onto every leaf feeding it.
 
-    Repeated calls without clearing grads accumulate additively. The replay
-    walks the tape in reverse recording order, so a tensor consumed several
-    times receives the sum of all branch contributions.
+    Repeated calls without clearing grads accumulate additively, also after
+    the tape's ``with`` block has exited. The replay walks the tape in
+    reverse recording order from the loss's node, so a tensor consumed
+    several times receives the sum of all branch contributions.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
     if loss.tape is None:
         raise ValueError("loss was not produced under an active tape")
-    adjoint = {id(loss): (loss, np.ones_like(loss.data))}
-    for out, rules in reversed(loss.tape._records):
-        entry = adjoint.pop(id(out), None)
-        if entry is None:
+    records = loss.tape._records
+    adjoint = {loss.node: np.ones_like(loss.data)}
+    leaves = {}
+    for node in range(loss.node, -1, -1):
+        g = adjoint.pop(node, None)
+        if g is None:
             continue
-        _, g = entry
-        if out.tracked:
-            out.grad = g if out.grad is None else out.grad + g
-        for inp, vjp in rules:
+        for operand, vjp in records[node]:
             contrib = vjp(g)
-            prev = adjoint.get(id(inp))
-            if prev is None:
-                adjoint[id(inp)] = (inp, contrib)
+            if isinstance(operand, int):
+                prev = adjoint.get(operand)
+                adjoint[operand] = contrib if prev is None else prev + contrib
             else:
-                adjoint[id(inp)] = (inp, prev[1] + contrib)
-    for tensor, g in adjoint.values():
-        if tensor.tracked:
-            tensor.grad = g if tensor.grad is None else tensor.grad + g
+                prev = leaves.get(id(operand))
+                leaves[id(operand)] = (operand, contrib if prev is None else prev[1] + contrib)
+    for tensor, g in leaves.values():
+        tensor.grad = g if tensor.grad is None else tensor.grad + g
 
 
 # ---------------------------------------------------------------------------
@@ -156,11 +175,15 @@ def backward(loss):
 
 
 def _im2col(x, k):
-    """Patch matrix (batch*out_h*out_w, cin*k*k) for valid stride-1 windows."""
+    """Patch matrix (cin*k*k, batch*out_h*out_w) for valid stride-1 windows.
+
+    Rows follow the kernel's (cin, ki, kj) order and columns the output's
+    (batch, row, col) order, so the copy runs along output rows.
+    """
     win = sliding_window_view(x, (k, k), axis=(2, 3))  # B,C,Ho,Wo,k,k
-    win = win.transpose(0, 2, 3, 1, 4, 5)
-    b, ho, wo = win.shape[:3]
-    return np.ascontiguousarray(win).reshape(b * ho * wo, -1), ho, wo
+    ho, wo = win.shape[2:4]
+    col = np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3))
+    return col.reshape(x.shape[1] * k * k, -1), ho, wo
 
 
 def linear(x, weight, bias):
@@ -175,7 +198,6 @@ def linear(x, weight, bias):
     xd, wd = x.data, weight.data
     return _make(
         out,
-        (x, weight, bias),
         (
             (x, lambda g: g @ wd.T),
             (weight, lambda g: xd.T @ g),
@@ -198,26 +220,32 @@ def conv2d(x, kernels, bias):
         raise ShapeError(f"conv2d bias shape {bias.shape} does not match kernels {kernels.shape}")
     col, ho, wo = _im2col(x.data, k)
     kmat = kernels.data.reshape(cout, -1)
-    out2d = col @ kmat.T + bias.data
-    out = out2d.reshape(b, ho, wo, cout).transpose(0, 3, 1, 2)
+    out = kmat @ col
+    out += bias.data[:, None]
+    out = out.reshape(cout, b, ho, wo).transpose(1, 0, 2, 3)
+    dtype = x.dtype
 
     def d_kernels(g):
-        g2d = g.transpose(0, 2, 3, 1).reshape(-1, cout)
-        return (g2d.T @ col).reshape(cout, cin, k, k)
+        gT = g.transpose(1, 0, 2, 3).reshape(cout, -1)
+        return (gT @ col.T).reshape(cout, cin, k, k)
 
     def d_bias(g):
-        return g.sum(axis=(0, 2, 3))
+        # per-example sums, then over the batch in order: the summation
+        # order of a contiguous (b, c, h, w) reduction, whatever g's layout
+        return np.ascontiguousarray(g.sum(axis=(2, 3))).sum(axis=0)
 
     def d_x(g):
-        g2d = g.transpose(0, 2, 3, 1).reshape(-1, cout)
-        dcol = (g2d @ kmat).reshape(b, ho, wo, cin, k, k).transpose(0, 3, 1, 2, 4, 5)
-        dx = np.zeros_like(x.data)
+        # transposed convolution: scatter each output's patch gradient back
+        # onto its window, k*k shifted adds along batch-innermost rows
+        gT = g.transpose(1, 2, 3, 0).reshape(cout, -1)
+        dcol = (kmat.T @ gT).reshape(cin, k, k, ho, wo, b)
+        dx = np.zeros((cin, h, w, b), dtype=dtype)
         for i in range(k):
             for j in range(k):
-                dx[:, :, i : i + ho, j : j + wo] += dcol[:, :, :, :, i, j]
-        return dx
+                dx[:, i : i + ho, j : j + wo] += dcol[:, i, j]
+        return dx.transpose(3, 0, 1, 2)
 
-    return _make(out, (x, kernels, bias), ((x, d_x), (kernels, d_kernels), (bias, d_bias)))
+    return _make(out, ((x, d_x), (kernels, d_kernels), (bias, d_bias)))
 
 
 def maxpool2(x):
@@ -227,25 +255,31 @@ def maxpool2(x):
     b, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2 requires even spatial dims, got {x.shape}")
-    h2, w2 = h // 2, w // 2
-    win = np.ascontiguousarray(
-        x.data.reshape(b, c, h2, 2, w2, 2).transpose(0, 1, 2, 4, 3, 5)
-    ).reshape(b, c, h2, w2, 4)
-    idx = win.argmax(axis=-1)  # first occurrence = first in row-major window order
-    out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+    pairs = x.data.reshape(b, c, h // 2, 2, w // 2, 2)  # a view in any memory layout
+    rows = np.maximum(pairs[..., 0], pairs[..., 1])  # b, c, h/2, 2, w/2: max of each window row
+    out = np.maximum(rows[:, :, :, 0], rows[:, :, :, 1])
 
     def d_x(g):
-        dwin = np.zeros_like(win)
-        np.put_along_axis(dwin, idx[..., None], g[..., None], axis=-1)
-        return dwin.reshape(b, c, h2, w2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(b, c, h, w)
+        # the first row-major maximum: the top row if it holds the window's
+        # maximum, and within that row the left element if it holds the row's
+        top = rows[:, :, :, 0] == out
+        left = pairs[..., 0] == rows
+        g_rows = np.empty_like(rows)
+        np.multiply(g, top, out=g_rows[:, :, :, 0])
+        np.multiply(g, ~top, out=g_rows[:, :, :, 1])
+        dx = np.empty_like(pairs)
+        np.multiply(g_rows, left, out=dx[..., 0])
+        np.multiply(g_rows, ~left, out=dx[..., 1])
+        dx += 0.0  # g * False is -0.0 where g < 0; make every zero +0.0
+        return dx.reshape(b, c, h, w)
 
-    return _make(out, (x,), ((x, d_x),))
+    return _make(out, ((x, d_x),))
 
 
 def relu(x):
     """Elementwise max(0, x); gradient is zero at x == 0."""
     mask = x.data > 0
-    return _make(np.where(mask, x.data, 0), (x,), ((x, lambda g: g * mask),))
+    return _make(np.where(mask, x.data, 0), ((x, lambda g: g * mask),))
 
 
 def cross_entropy_mean(logits, labels):
@@ -270,31 +304,31 @@ def cross_entropy_mean(logits, labels):
         d[np.arange(n), labels] -= 1
         return d * (g / n)
 
-    return _make(loss, (logits,), ((logits, d_logits),))
+    return _make(loss, ((logits, d_logits),))
 
 
 def reshape(x, shape):
     orig = x.data.shape
-    return _make(x.data.reshape(shape), (x,), ((x, lambda g: g.reshape(orig)),))
+    return _make(x.data.reshape(shape), ((x, lambda g: g.reshape(orig)),))
 
 
 def add(a, b):
     """Elementwise sum of two same-shape tensors."""
     if a.shape != b.shape:
         raise ShapeError(f"add requires matching shapes, got {a.shape} and {b.shape}")
-    return _make(a.data + b.data, (a, b), ((a, lambda g: g), (b, lambda g: g)))
+    return _make(a.data + b.data, ((a, lambda g: g), (b, lambda g: g)))
 
 
 def scale(x, c):
     """Multiply by a python scalar."""
     c = float(c)
-    return _make(x.data * c, (x,), ((x, lambda g: g * c),))
+    return _make(x.data * c, ((x, lambda g: g * c),))
 
 
 def tensor_sum(x):
     """Sum of all elements, as a scalar tensor."""
+    shape, dtype = x.data.shape, x.dtype
     return _make(
-        np.asarray(x.data.sum(), dtype=x.dtype),
-        (x,),
-        ((x, lambda g: np.broadcast_to(g, x.data.shape).astype(x.dtype, copy=True)),),
+        np.asarray(x.data.sum(), dtype=dtype),
+        ((x, lambda g: np.broadcast_to(g, shape).astype(dtype, copy=True)),),
     )

@@ -51,9 +51,13 @@ class MultiMnistSet:
     split: str
 
     def __post_init__(self):
-        assert self.images.ndim == 4 and self.images.shape[1] == 1, self.images.shape
+        if self.images.ndim != 4 or self.images.shape[1] != 1:
+            raise ConfigError(f"{self.split} images must have shape [n, 1, h, w], got {self.images.shape}")
         for task, y in self.labels.items():
-            assert y.shape == (len(self.images),), (task, y.shape)
+            if y.shape != (len(self.images),):
+                raise ConfigError(
+                    f"{self.split} labels of task {task!r} have shape {y.shape}, expected ({len(self.images)},)"
+                )
 
     def __len__(self):
         return self.images.shape[0]

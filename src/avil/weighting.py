@@ -39,7 +39,7 @@ from .model import build_model, combine
 
 
 class NanLossError(RuntimeError):
-    """A training loss became NaN/Inf; the run for this seed is invalid."""
+    """A training or tuning loss became NaN/Inf; the run for this seed is invalid."""
 
 
 @dataclass
@@ -241,12 +241,19 @@ def dev_loss_grad(model, dev_set, task, batch_size=512):
 
 
 def alpha_gradient(loss_grad, base, deltas, alphas):
-    """g_i = <delta_i, grad L(base + sum_j alpha_j delta_j)>."""
+    """g_i = <delta_i, grad L(base + sum_j alpha_j delta_j)>.
+
+    Raises NanLossError when the dev loss or any g_i is not finite, so that
+    a NaN never reaches the alphas or the written-back base.
+    """
     if len(deltas) != len(alphas):
         raise ConfigError(f"{len(deltas)} deltas vs {len(alphas)} alphas")
     theta = combine(base, deltas, alphas)
-    _, grad = loss_grad(theta)
-    return np.array([float(np.dot(np.asarray(d, np.float64), np.asarray(grad, np.float64))) for d in deltas])
+    loss, grad = loss_grad(theta)
+    g = np.array([float(np.dot(np.asarray(d, np.float64), np.asarray(grad, np.float64))) for d in deltas])
+    if not (np.isfinite(loss) and np.all(np.isfinite(g))):
+        raise NanLossError(f"non-finite dev loss {loss} or alpha gradient {g}")
+    return g
 
 
 def tune_alphas(loss_grad, base, deltas, steps=10, learning_rate=0.005, momentum=0.5, on_step=None):

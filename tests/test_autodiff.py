@@ -1,13 +1,39 @@
+import gc
+import itertools
+import weakref
+
 import numpy as np
 import pytest
 
 from avil import autodiff as ad
 from avil.autodiff import ShapeError, Tape, Tensor, backward
-from avil.gradcheck import assert_gradients_close, numeric_gradient
+from avil.model import build_model
+from gradcheck import assert_gradients_close, numeric_gradient
 
 
 def tracked(data):
     return Tensor(np.asarray(data, dtype=np.float64), tracked=True)
+
+
+def weighted_sum(out, weights):
+    """sum(out * weights) as a scalar tensor, so backward feeds ``weights`` to ``out``."""
+    flat = ad.reshape(out, (1, -1))
+    w = Tensor(np.asarray(weights, dtype=out.dtype).reshape(-1, 1))
+    return ad.tensor_sum(ad.linear(flat, w, Tensor(np.zeros(1, dtype=out.dtype))))
+
+
+# Memory layouts of a (b, c, h, w) array that the kernels produce and accept:
+# plain, channel-major (a conv output) and batch-innermost (a conv input
+# gradient).
+LAYOUTS = {
+    "contiguous": lambda a: np.ascontiguousarray(a),
+    "channel-major": lambda a: np.ascontiguousarray(a.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3),
+    "batch-innermost": lambda a: np.ascontiguousarray(a.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2),
+}
+
+
+def bits(a):
+    return np.ascontiguousarray(a).tobytes()
 
 
 class TestLinear:
@@ -116,6 +142,114 @@ class TestConv2d:
             lambda x: ad.relu(ad.conv2d(Tensor(x), Tensor(k), Tensor(b))).data.sum(), x0
         )
         assert_gradients_close(xt.grad, numeric, rtol=1e-4)
+
+
+def naive_conv(x, kernels, bias):
+    """Valid cross-correlation, one output position at a time."""
+    b, _, h, w = x.shape
+    cout, _, k, _ = kernels.shape
+    out = np.zeros((b, cout, h - k + 1, w - k + 1))
+    for n, y, z in itertools.product(range(b), range(h - k + 1), range(w - k + 1)):
+        out[n, :, y, z] = np.tensordot(kernels, x[n, :, y : y + k, z : z + k], axes=3) + bias
+    return out
+
+
+def naive_conv_vjp(x, kernels, g):
+    """(dx, dkernels, dbias) of naive_conv for upstream gradient g."""
+    b, _, ho, wo = g.shape
+    k = kernels.shape[2]
+    dx = np.zeros(x.shape)
+    dk = np.zeros(kernels.shape)
+    for n, y, z in itertools.product(range(b), range(ho), range(wo)):
+        dx[n, :, y : y + k, z : z + k] += np.tensordot(g[n, :, y, z], kernels, axes=1)
+        dk += g[n, :, y, z][:, None, None, None] * x[n, :, y : y + k, z : z + k]
+    return dx, dk, g.sum(axis=(0, 2, 3))
+
+
+def assert_close_to(actual, reference, rtol=1e-12):
+    """Relative agreement, scaled by the reference's largest entry near zeros."""
+    np.testing.assert_allclose(actual, reference, rtol=rtol, atol=rtol * np.abs(reference).max())
+
+
+class TestConv2dReference:
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_two_stacked_convs_match_naive_loops(self, layout):
+        # the second conv reads the first's channel-major output and hands
+        # back a batch-innermost input gradient as the first's upstream
+        gen = np.random.default_rng(11)
+        x = LAYOUTS[layout](gen.standard_normal((2, 3, 8, 8)))
+        k1, b1 = gen.standard_normal((4, 3, 3, 3)), gen.standard_normal(4)
+        k2, b2 = gen.standard_normal((5, 4, 2, 2)), gen.standard_normal(5)
+        upstream = gen.standard_normal((2, 5, 5, 5))
+        leaves = [tracked(a) for a in (x, k1, b1, k2, b2)]
+        with Tape():
+            hidden = ad.conv2d(*leaves[:3])
+            out = ad.conv2d(hidden, *leaves[3:])
+            loss = weighted_sum(out, upstream)
+        backward(loss)
+        ref_hidden = naive_conv(x, k1, b1)
+        assert_close_to(hidden.data, ref_hidden)
+        assert_close_to(out.data, naive_conv(ref_hidden, k2, b2))
+        d_hidden, dk2, db2 = naive_conv_vjp(ref_hidden, k2, upstream)
+        dx, dk1, db1 = naive_conv_vjp(x, k1, d_hidden)
+        for leaf, reference in zip(leaves, (dx, dk1, db1, dk2, db2)):
+            assert_close_to(leaf.grad, reference)
+
+
+def maxpool_reference(x, g):
+    """The argmax / take_along_axis / put_along_axis kernel, for comparison."""
+    b, c, h, w = x.shape
+    h2, w2 = h // 2, w // 2
+    win = np.ascontiguousarray(
+        x.reshape(b, c, h2, 2, w2, 2).transpose(0, 1, 2, 4, 3, 5)
+    ).reshape(b, c, h2, w2, 4)
+    idx = win.argmax(axis=-1)
+    out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+    dwin = np.zeros_like(win)
+    np.put_along_axis(dwin, idx[..., None], g[..., None], axis=-1)
+    return out, dwin.reshape(b, c, h2, w2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(b, c, h, w)
+
+
+def maxpool_with_gradient(x, g):
+    xt = Tensor(x, tracked=True)
+    with Tape():
+        out = ad.maxpool2(xt)
+        loss = weighted_sum(out, g)
+    backward(loss)
+    return out.data, xt.grad
+
+
+class TestMaxpool2Reference:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_tie_pattern_is_bit_equal_to_the_argmax_kernel(self, dtype):
+        # channel p holds one window per tie pattern: the positions in the
+        # p-th non-empty subset of the four share the maximum; windows with
+        # negative values and negative upstream gradients are included
+        patterns = [s for r in range(1, 5) for s in itertools.combinations(range(4), r)]
+        assert len(patterns) == 15
+        windows = np.full((15, 4), 0.5)
+        for p, subset in enumerate(patterns):
+            windows[p, list(subset)] = 1.0
+        x = np.concatenate([windows, windows - 3.0], axis=0).reshape(1, 30, 2, 2).astype(dtype)
+        g = np.linspace(-1.0, 1.0, 30).reshape(1, 30, 1, 1).astype(dtype)
+        out, dx = maxpool_with_gradient(x, g)
+        ref_out, ref_dx = maxpool_reference(x, g)
+        assert bits(out) == bits(ref_out)
+        assert bits(dx) == bits(ref_dx)
+        for p, subset in enumerate(patterns):
+            assert np.flatnonzero(dx[0, p]).tolist() == [subset[0]]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_random_input_is_bit_equal_to_the_argmax_kernel(self, dtype, layout):
+        gen = np.random.default_rng(12)
+        # coarse values make ties common
+        x = LAYOUTS[layout](gen.integers(-3, 4, size=(3, 4, 6, 8)).astype(dtype))
+        g = gen.standard_normal((3, 4, 3, 4)).astype(dtype)
+        out, dx = maxpool_with_gradient(x, g)
+        ref_out, ref_dx = maxpool_reference(x, g)
+        assert bits(out) == bits(ref_out)
+        assert bits(dx) == bits(ref_dx)
 
 
 class TestMaxpool2:
@@ -291,6 +425,32 @@ class TestBackward:
         assert y.tape is None
         with pytest.raises(ValueError, match="tape"):
             backward(y)
+
+    def test_only_leaves_receive_grad(self):
+        x = tracked(np.ones(3))
+        with Tape():
+            y = ad.scale(x, 2.0)
+            loss = ad.tensor_sum(y)
+        backward(loss)
+        assert y.grad is None and loss.grad is None
+        np.testing.assert_array_equal(x.grad, np.full(3, 2.0))
+
+    def test_graph_is_freed_without_the_cyclic_collector(self, rng):
+        model = build_model(["tl"], seed=1)
+        images = rng.uniform(size=(4, 1, 28, 28))
+        gc.collect()
+        gc.disable()
+        try:
+            with Tape() as tape:
+                loss = ad.cross_entropy_mean(model.forward(images, "tl"), np.arange(4))
+            backward(loss)
+            tape_ref = weakref.ref(tape)
+            del tape, loss
+            assert tape_ref() is None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert model.parameters()[0].grad is not None
 
     def test_forward_ops_stay_finite_on_finite_inputs(self, rng):
         x = Tensor(rng.standard_normal((2, 1, 8, 8)) * 50)

@@ -167,6 +167,20 @@ class TestMakeMultimnist:
         assert ds.images.max() <= 1.0
 
 
+class TestMultiMnistSetShapes:
+    def test_images_without_a_channel_axis_are_a_config_error(self):
+        with pytest.raises(ConfigError, match=r"\(3, 28, 28\)"):
+            MultiMnistSet(images=np.zeros((3, 28, 28)), labels={"tl": np.zeros(3)}, split="train")
+
+    def test_labels_of_the_wrong_length_are_a_config_error(self):
+        with pytest.raises(ConfigError, match=r"'br'.*\(2,\).*\(3,\)"):
+            MultiMnistSet(
+                images=np.zeros((3, 1, 28, 28)),
+                labels={"tl": np.zeros(3), "br": np.zeros(2)},
+                split="dev",
+            )
+
+
 class TestSplits:
     def test_sizes_and_disjointness(self, rng):
         ds = _toy(600, rng)

@@ -61,6 +61,35 @@ def test_one_task_avil_with_unit_alphas_is_singletask(monkeypatch, dtype):
         assert (s.train_loss, s.dev_acc, s.target_dev_loss) == (a.train_loss, a.dev_acc, a.target_dev_loss)
 
 
+def read_csv(path):
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    return [dict(zip(header.split(","), row.split(","))) for row in rows]
+
+
+def test_nan_dev_loss_fails_the_seed_at_the_tuning_step(tmp_path, monkeypatch):
+    # one epoch: the NaN can only surface while tuning, not in a later
+    # epoch's training loss
+    seed_datasets = harness.seed_datasets
+
+    def poisoned(config, pool, seed):
+        train, dev = seed_datasets(config, pool, seed)
+        if seed == 2:
+            dev.images[0] = np.nan
+        return train, dev
+
+    monkeypatch.setattr(harness, "seed_datasets", poisoned)
+    config = replace(TINY, method="avil", epochs=1, out_dir=str(tmp_path))
+    run_dir = harness.run_experiment(config)
+    summary = {row["seed"]: row for row in read_csv(run_dir / "summary.csv")}
+    assert summary["1"]["status"] == "ok"
+    assert summary["2"]["status"].startswith("failed:") and "non-finite" in summary["2"]["status"]
+    assert not (run_dir / "seed2.csv").exists()
+    for row in read_csv(run_dir / "aggregate.csv"):
+        assert (row["task"], row["n_seeds"], row["n_failed"]) == ("tl", "1", "1")
+        key = f"{row['split']}_acc"
+        assert row["mean"] == row["min"] == row["max"] == summary["1"][key]
+
+
 def write_config(tmp_path, extra=""):
     path = tmp_path / "run.cfg"
     path.write_text(TINY_TEXT + f"out.dir={tmp_path / 'runs'}\n" + extra, encoding="utf-8")

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from avil.gradcheck import assert_gradients_close
+from gradcheck import assert_gradients_close
 from avil.model import build_model, combine
 from avil.weighting import (
     ConfigError,
+    NanLossError,
     TrainerConfig,
     alpha_gradient,
     collect_delta,
@@ -101,6 +102,21 @@ class TestAlphaGradient:
     def test_mismatched_lengths_rejected(self, rng):
         with pytest.raises(ConfigError):
             alpha_gradient(quadratic_loss_grad(np.zeros(3)), np.zeros(3), [np.zeros(3)], [1.0, 2.0])
+
+    @pytest.mark.parametrize("bad", ["loss", "grad"])
+    def test_non_finite_dev_loss_or_gradient_raises(self, rng, bad):
+        center = rng.standard_normal(5)
+
+        def loss_grad(theta):
+            loss, grad = quadratic_loss_grad(center)(theta)
+            if bad == "loss":
+                return float("nan"), grad
+            grad = grad.copy()
+            grad[2] = np.inf
+            return loss, grad
+
+        with pytest.raises(NanLossError, match="non-finite"):
+            alpha_gradient(loss_grad, np.zeros(5), [np.ones(5)], [1.0])
 
     def test_matches_finite_differences_on_real_model(self, rng):
         # real collected deltas: random directions are near-orthogonal to the
