@@ -6,6 +6,8 @@ per-epoch rows per seed, best-snapshot checkpoints, ``summary.csv`` with
 one row per (seed, task), and ``aggregate.csv`` with min/max/mean/std over
 seeds. Accuracies in CSV files are percentages; standard deviations are
 population (not sample) deviations, as the ``*_std_pop`` naming records.
+Each of these files is written under a temporary name and renamed into
+place, so an interrupted run leaves no partial file.
 
 Reruns with an identical configuration produce byte-identical CSV files
 and checkpoints (tests/test_training.py).
@@ -21,6 +23,7 @@ import numpy as np
 from . import data as datamod
 from . import weighting
 from .errors import ConfigError
+from .files import replace_atomically
 from .model import build_model, save_checkpoint
 from .weighting import NanLossError, TrainerConfig
 
@@ -290,7 +293,7 @@ def write_seed_csv(path, result):
     header += ["target_dev_loss"]
     header += [f"alpha_{t}" for t in tasks]
     header += [f"weight_{t}" for t in tasks]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with replace_atomically(path) as fh:
         fh.write(_row_csv(header))
         for row in result.rows:
             cells = [str(row.epoch)]
@@ -304,7 +307,7 @@ def write_seed_csv(path, result):
 
 def write_summary_csv(path, rows):
     header = ["seed", "task", "status", "best_epoch", "dev_acc", "test_acc"]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with replace_atomically(path) as fh:
         fh.write(_row_csv(header))
         for row in rows:
             fh.write(_row_csv([
@@ -321,7 +324,7 @@ def write_aggregate_csv(path, summary_rows):
     """Aggregates over successful seeds; failures are counted, not imputed."""
     header = ["task", "split", "n_seeds", "n_failed", "min", "max", "mean", "std_pop"]
     tasks = sorted({row["task"] for row in summary_rows})
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with replace_atomically(path) as fh:
         fh.write(_row_csv(header))
         for task in tasks:
             ok = [r for r in summary_rows if r["task"] == task and r["status"] == "ok"]
@@ -367,7 +370,8 @@ def run_experiment(config, pools=None):
     trainer_cfg = config.trainer_config()
     run_dir = Path(config.out_dir) / config.run_name()
     run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "config.txt").write_text(config_echo(config), encoding="utf-8")
+    with replace_atomically(run_dir / "config.txt") as fh:
+        fh.write(config_echo(config))
     summary_rows = []
     for seed in config.seeds:
         train_set, dev_set = seed_datasets(config, train_pool, seed)

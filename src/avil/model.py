@@ -24,6 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError
+from .files import replace_atomically
 
 ENCODER_SHAPES = (
     ("conv1_w", (10, 1, 5, 5)),
@@ -85,7 +86,8 @@ class MultiHeadModel:
                 head[name] = self._init_param(rng, shape, fan)
             self._heads[tid] = head
         expected = ENCODER_PARAMS + HEAD_PARAMS * len(self.task_ids)
-        assert self.param_count == expected, (self.param_count, expected)
+        if self.param_count != expected:
+            raise RuntimeError(f"model has {self.param_count} parameters, expected {expected}")
 
     def _init_param(self, rng, shape, fan_in):
         bound = 1.0 / np.sqrt(fan_in)
@@ -185,7 +187,7 @@ def combine(base, deltas, alphas):
 def save_checkpoint(path, values, task_ids):
     """Binary checkpoint: magic, version u32, count u64, task table, f64 LE values."""
     values = np.asarray(values, dtype="<f8")
-    with open(path, "wb") as fh:
+    with replace_atomically(path, binary=True) as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(struct.pack("<Q", values.size))

@@ -22,9 +22,9 @@ def weighted_sum(out, weights):
     return ad.tensor_sum(ad.linear(flat, w, Tensor(np.zeros(1, dtype=out.dtype))))
 
 
-# Memory layouts of a (b, c, h, w) array that the kernels produce and accept:
-# plain, channel-major (a conv output) and batch-innermost (a conv input
-# gradient).
+# Memory layouts of a (b, c, h, w) array that the kernels accept: plain (the
+# images), channel-major (a layout no op produces) and batch-innermost
+# (every activation and activation gradient).
 LAYOUTS = {
     "contiguous": lambda a: np.ascontiguousarray(a),
     "channel-major": lambda a: np.ascontiguousarray(a.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3),
@@ -174,7 +174,7 @@ def assert_close_to(actual, reference, rtol=1e-12):
 class TestConv2dReference:
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
     def test_two_stacked_convs_match_naive_loops(self, layout):
-        # the second conv reads the first's channel-major output and hands
+        # the second conv reads the first's batch-innermost output and hands
         # back a batch-innermost input gradient as the first's upstream
         gen = np.random.default_rng(11)
         x = LAYOUTS[layout](gen.standard_normal((2, 3, 8, 8)))
@@ -328,6 +328,47 @@ class TestRelu:
         assert_gradients_close(xt.grad, numeric, rtol=1e-5)
 
 
+def relu_reference(x, g):
+    """The np.where formula relu used before, for comparison."""
+    mask = x > 0
+    return np.where(mask, x, 0), g * mask
+
+
+def relu_with_gradient(x, g):
+    """relu's output and its VJP applied to g, handed over in g's own layout."""
+    xt = Tensor(x, tracked=True)
+    with Tape() as tape:
+        out = ad.relu(xt)
+    ((_, vjp),) = tape._records[out.node]
+    return out.data, vjp(g)
+
+
+class TestReluReference:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_bit_equal_to_the_where_formula(self, dtype, layout):
+        gen = np.random.default_rng(13)
+        x = gen.standard_normal((3, 4, 6, 8))
+        x[gen.random(x.shape) < 0.2] = 0.0
+        x[gen.random(x.shape) < 0.2] = -0.0
+        x = LAYOUTS[layout](x.astype(dtype))
+        g = LAYOUTS[layout](gen.standard_normal(x.shape).astype(dtype))
+        assert np.signbit(x[x == 0]).any() and not np.signbit(x[x == 0]).all()
+        out, dx = relu_with_gradient(x, g)
+        ref_out, ref_dx = relu_reference(x, g)
+        assert out.dtype == dx.dtype == dtype
+        assert bits(out) == bits(ref_out)
+        assert bits(dx) == bits(ref_dx)
+        assert out.strides == x.strides
+        zeros = out[out == 0]
+        assert zeros.size > x.size // 3 and not np.signbit(zeros).any()
+
+    def test_nan_and_minus_inf_give_nan(self):
+        with np.errstate(invalid="ignore"):
+            out, _ = relu_with_gradient(np.array([np.nan, -np.inf, np.inf, -1.0]), np.ones(4))
+        np.testing.assert_array_equal(out, [np.nan, np.nan, np.inf, 0.0])
+
+
 class TestCrossEntropyMean:
     def test_uniform_logits_give_log_k(self):
         logits = tracked(np.zeros((4, 10)))
@@ -383,6 +424,64 @@ class TestCrossEntropyMean:
         p = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
         onehot = np.eye(5)[labels]
         np.testing.assert_allclose(lt.grad, (p - onehot) / 3.0, rtol=1e-12)
+
+
+def is_batch_innermost(a):
+    return a.strides[0] == a.itemsize
+
+
+class TestLayout:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_activation_and_activation_gradient_is_batch_innermost(self, monkeypatch, dtype):
+        seen = []  # (what, op output shape, array) for every 4-d array
+        make = ad._make
+
+        def recording_make(data, rules):
+            def wrap(operand, vjp, first):
+                from_op = operand.tape is not None  # an activation, not a leaf
+
+                def recorded(g):
+                    contrib = vjp(g)
+                    if first and g.ndim == 4:
+                        seen.append(("output gradient", data.shape, g))
+                    if from_op and contrib.ndim == 4:
+                        seen.append(("input gradient", data.shape, contrib))
+                    return contrib
+
+                return recorded
+
+            if data.ndim == 4:
+                seen.append(("output", data.shape, data))
+            rules = [(t, fn) for t, fn in rules if t.tracked]
+            return make(data, tuple((t, wrap(t, fn, i == 0)) for i, (t, fn) in enumerate(rules)))
+
+        monkeypatch.setattr(ad, "_make", recording_make)
+        model = build_model(["tl", "br"], seed=3, dtype=dtype)
+        images = np.random.default_rng(3).uniform(size=(5, 1, 28, 28)).astype(dtype)
+        with Tape():
+            loss = ad.cross_entropy_mean(model.forward(images, "tl"), np.arange(5))
+        backward(loss)
+        # conv, pool and relu twice each: six outputs, the six gradients
+        # handed to them, and the six input gradients they and the flatten
+        # hand back (conv1's input, the images, is not tracked)
+        assert [what for what, _, _ in seen].count("output") == 6
+        assert [what for what, _, _ in seen].count("output gradient") == 6
+        assert [what for what, _, _ in seen].count("input gradient") == 6
+        wrong = [(what, shape, a.strides) for what, shape, a in seen if not is_batch_innermost(a)]
+        assert wrong == []
+
+
+class TestTape:
+    def test_leaving_nested_tapes_out_of_order_raises(self):
+        outer, inner = Tape(), Tape()
+        outer.__enter__()
+        inner.__enter__()
+        with pytest.raises(RuntimeError, match="reverse order"):
+            outer.__exit__(None, None, None)
+        assert ad.active_tape() is inner
+        inner.__exit__(None, None, None)
+        outer.__exit__(None, None, None)
+        assert ad.active_tape() is None
 
 
 class TestBackward:

@@ -45,6 +45,11 @@ class TestBuildModel:
         assert logits.shape == (1, 10)
         assert np.all(np.isfinite(logits.data))
 
+    def test_parameter_count_mismatch_raises(self, monkeypatch):
+        monkeypatch.setattr("avil.model.ENCODER_PARAMS", ENCODER_PARAMS + 1)
+        with pytest.raises(RuntimeError, match="parameters"):
+            build_model(["tl"], seed=0)
+
     def test_different_seeds_differ(self):
         a = build_model(["tl"], seed=1)
         b = build_model(["tl"], seed=2)

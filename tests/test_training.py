@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from avil import cli, data, harness, model, optim, weighting
+from avil import cli, data, files, harness, model, optim, weighting
 from test_data import write_idx_pair
 
 # Small enough for the unit suite, large enough that the model moves off
@@ -88,6 +88,31 @@ def test_nan_dev_loss_fails_the_seed_at_the_tuning_step(tmp_path, monkeypatch):
         assert (row["task"], row["n_seeds"], row["n_failed"]) == ("tl", "1", "1")
         key = f"{row['split']}_acc"
         assert row["mean"] == row["min"] == row["max"] == summary["1"][key]
+
+
+@pytest.mark.parametrize("binary", [False, True])
+def test_a_writer_that_raises_mid_file_leaves_no_partial_file(tmp_path, binary):
+    kept, absent = tmp_path / "kept.out", tmp_path / "absent.out"
+    kept.write_bytes(b"previous\n")
+    for path in (kept, absent):
+        with pytest.raises(OSError, match="disk full"):
+            with files.replace_atomically(path, binary=binary) as fh:
+                fh.write(b"partial" if binary else "partial")
+                fh.flush()
+                raise OSError("disk full")
+    assert kept.read_bytes() == b"previous\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.out"]
+
+
+def test_csv_writer_that_raises_mid_file_keeps_the_previous_file(tmp_path):
+    path = tmp_path / "summary.csv"
+    row = {"seed": 1, "task": "tl", "status": "ok", "best_epoch": 1, "dev_acc": 50.0, "test_acc": 40.0}
+    harness.write_summary_csv(path, [row])
+    before = path.read_bytes()
+    with pytest.raises(KeyError):
+        harness.write_summary_csv(path, [row, {"seed": 2}])  # the second row lacks its task
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["summary.csv"]
 
 
 def write_config(tmp_path, extra=""):
