@@ -29,10 +29,23 @@ copy for the images) and returns its output and input gradient in it;
 ``maxpool2``, ``relu``, ``add`` and ``scale`` keep their operand's layout,
 so does ``linear``'s input gradient, and the flatten of a batch-innermost
 activation to (batch, features) is a view in both directions.
+
+``conv2d`` never holds a whole patch matrix, which is k*k = 25 times its
+input. It works one block of output rows at a time, each block about
+``_BLOCK_ELEMENTS`` = 2**21 patch elements (16 MiB in float64) and at least
+one row. Two reasons: glibc serves every request over 32 MiB from freshly
+mapped, zero-filled pages, which cost more than the GEMM they feed (a
+float64 batch-512 model forward took 55-68 ms with whole patch matrices and
+27-34 ms in blocks, 2 cores), and peak memory falls by more than half. A
+tape keeps only the input: the kernel gradient rebuilds each block's patches
+and sums the per-block GEMMs, so it moves in the last bits against one
+whole-matrix GEMM; the output, the bias gradient and the input gradient do
+not.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 
 import numpy as np
@@ -184,22 +197,6 @@ def backward(loss):
 # operations
 
 
-def _im2col(x, k):
-    """Patch matrix (cin*k*k, out_h*out_w*batch) for valid stride-1 windows.
-
-    ``x`` is (batch, cin, h, w) in any layout. It is first laid out
-    batch-innermost as (cin, h, w, batch), which is free for an activation
-    and one small copy for the images. Rows follow the kernel's (cin, ki, kj)
-    order and columns the output's (row, col, batch) order, so the copy runs
-    along rows out_w*batch long.
-    """
-    xt = np.ascontiguousarray(x.transpose(1, 2, 3, 0))
-    win = sliding_window_view(xt, (k, k), axis=(1, 2))  # C,Ho,Wo,B,k,k
-    ho, wo = win.shape[1:3]
-    col = np.ascontiguousarray(win.transpose(0, 4, 5, 1, 2, 3))
-    return col.reshape(x.shape[1] * k * k, -1), ho, wo
-
-
 def linear(x, weight, bias):
     """x[batch,in] @ weight[in,out] + bias[out], bias broadcast over batch.
 
@@ -225,12 +222,36 @@ def linear(x, weight, bias):
     )
 
 
+# Patch elements in one row block of conv2d: 8 MiB in float32, 16 MiB in
+# float64, under the 32 MiB above which glibc maps every request fresh.
+_BLOCK_ELEMENTS = 1 << 21
+
+
+def _row_blocks(ho, row_elements):
+    """Slices of output rows holding about _BLOCK_ELEMENTS patch elements each, at least one row."""
+    rows = max(1, _BLOCK_ELEMENTS // row_elements)
+    return [slice(r, min(r + rows, ho)) for r in range(0, ho, rows)]
+
+
 def conv2d(x, kernels, bias):
     """Valid stride-1 cross-correlation of x[b,cin,h,w] with kernels[cout,cin,k,k].
 
-    Accepts x in any layout. The output and the input gradient are
-    (b, c, h, w) views of batch-innermost (c, h, w, b) memory; the backward
-    rules read an output gradient in that layout without a copy.
+    Accepts x in any layout and lays it out batch-innermost as (cin, h, w, b),
+    which is free for an activation and one small copy for the images. The
+    output and the input gradient are (b, c, h, w) views of batch-innermost
+    (c, h, w, b) memory.
+
+    The output is computed one block of output rows at a time: the block's
+    patch matrix, (cin*k*k, rows*wo*b) with rows in the kernel's (cin, ki, kj)
+    order, is copied along rows wo*b long and multiplied straight into the
+    output rows, and the bias is added while they are in cache. A block holds
+    about ``_BLOCK_ELEMENTS`` patch elements and at least one output row, so
+    no temporary grows with k*k times the input: none reaches the 32 MiB
+    above which glibc maps and zero-fills fresh pages on every request, and
+    peak memory stays near that of the input, output and gradients. A tape
+    keeps only the input. The kernel gradient rebuilds each block's patches
+    and sums the per-block GEMMs, block by block; the input gradient forms
+    one block's patch gradient at a time and does its k*k shifted adds.
     """
     if x.data.ndim != 4 or kernels.data.ndim != 4:
         raise ShapeError(f"conv2d expects 4-d operands, got {x.shape} and {kernels.shape}")
@@ -242,35 +263,55 @@ def conv2d(x, kernels, bias):
         raise ShapeError(f"conv2d kernel {kernels.shape} larger than input {x.shape}")
     if bias.shape != (cout,):
         raise ShapeError(f"conv2d bias shape {bias.shape} does not match kernels {kernels.shape}")
-    col, ho, wo = _im2col(x.data, k)
+    ho, wo = h - k + 1, w - k + 1
+    xt = np.ascontiguousarray(x.data.transpose(1, 2, 3, 0))
+    win = sliding_window_view(xt, (k, k), axis=(1, 2))  # cin, ho, wo, b, k, k
     kmat = kernels.data.reshape(cout, -1)
-    out = kmat @ col
-    out += bias.data[:, None]
-    out = out.reshape(cout, ho, wo, b).transpose(3, 0, 1, 2)
+    blocks = _row_blocks(ho, kmat.shape[1] * wo * b)
     dtype = x.dtype
 
-    def g_rows(g):
-        return g.transpose(1, 2, 3, 0).reshape(cout, -1)  # a view when g is batch-innermost
+    def patches(rs):
+        return np.ascontiguousarray(win[:, rs].transpose(0, 4, 5, 1, 2, 3)).reshape(kmat.shape[1], -1)
+
+    def rows(a, rs):
+        return a[:, rs].reshape(a.shape[0], -1)  # a view: a is (c, ho, wo, b) C-contiguous
+
+    out = np.empty((cout, ho, wo, b), dtype=np.result_type(kmat, xt))
+    for rs in blocks:
+        out_rows = rows(out, rs)
+        np.matmul(kmat, patches(rs), out=out_rows)
+        out_rows += bias.data[:, None]
+
+    def batch_innermost(g):
+        return np.ascontiguousarray(g.transpose(1, 2, 3, 0))  # free when g is batch-innermost
 
     def d_kernels(g):
-        # this GEMM orientation beat g_rows(g) @ col.T at batch 400, float32,
-        # 2 cores: 5.1 against 6.8-7.7 ms for conv1, 2.6 against 4.3 ms for conv2
-        return (col @ g_rows(g).T).T.reshape(cout, cin, k, k)
+        # this GEMM orientation beat g @ patches.T on whole patch matrices at
+        # batch 400, float32, 2 cores: 5.1 against 6.8-7.7 ms for conv1, 2.6
+        # against 4.3 ms for conv2
+        gt = batch_innermost(g)
+        parts = (patches(rs) @ rows(gt, rs).T for rs in blocks)
+        return functools.reduce(np.add, parts).T.reshape(cout, cin, k, k)
 
     def d_bias(g):
-        return g_rows(g).sum(axis=1)
+        return batch_innermost(g).reshape(cout, -1).sum(axis=1)
 
     def d_x(g):
         # transposed convolution: scatter each output's patch gradient back
-        # onto its window, k*k shifted adds along batch-innermost rows
-        dcol = (kmat.T @ g_rows(g)).reshape(cin, k, k, ho, wo, b)
+        # onto its window, k*k shifted adds along batch-innermost rows. The
+        # blocks go last to first, so every element of dx sums its terms in
+        # (i, j) order, as one block would.
+        gt = batch_innermost(g)
         dx = np.zeros((cin, h, w, b), dtype=dtype)
-        for i in range(k):
-            for j in range(k):
-                dx[:, i : i + ho, j : j + wo] += dcol[:, i, j]
+        for rs in reversed(blocks):
+            dcol = (kmat.T @ rows(gt, rs)).reshape(cin, k, k, -1, wo, b)
+            for i in range(k):
+                for j in range(k):
+                    dx[:, rs.start + i : rs.stop + i, j : j + wo] += dcol[:, i, j]
+            del dcol  # one block's patch gradient at a time, not two
         return dx.transpose(3, 0, 1, 2)
 
-    return _make(out, ((x, d_x), (kernels, d_kernels), (bias, d_bias)))
+    return _make(out.transpose(3, 0, 1, 2), ((x, d_x), (kernels, d_kernels), (bias, d_bias)))
 
 
 def maxpool2(x):

@@ -13,7 +13,7 @@ from .errors import ConfigError
 
 def _cmd_generate(args):
     if args.mnist_dir is None and args.synthetic is None:
-        raise SystemExit("generate: provide --mnist-dir or --synthetic N")
+        raise ConfigError("generate: provide --mnist-dir or --synthetic N")
     if args.mnist_dir is not None:
         train_images, train_labels = datamod.load_idx(*datamod.find_idx_pair(args.mnist_dir, "train"))
         test_images, test_labels = datamod.load_idx(*datamod.find_idx_pair(args.mnist_dir, "t10k"))
@@ -36,7 +36,7 @@ def _cmd_train(args):
     if args.target:
         overrides["target"] = args.target
     if args.seeds:
-        overrides["seeds"] = tuple(int(s) for s in args.seeds.split(","))
+        overrides["seeds"] = harness.parse_seeds(args.seeds)
     if args.scale:
         overrides["scale"] = args.scale
     config = harness.load_config(args.config, overrides)

@@ -29,6 +29,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import ConfigError
+from .files import replace_atomically
 
 TASK_TOP_LEFT = "tl"
 TASK_BOTTOM_RIGHT = "br"
@@ -273,7 +274,7 @@ def save_cache(dataset, path):
     """Write magic 'MM01', n u64, f32 LE images, then tl/br label bytes."""
     tl = dataset.labels[TASK_TOP_LEFT]
     br = dataset.labels[TASK_BOTTOM_RIGHT]
-    with open(path, "wb") as fh:
+    with replace_atomically(path, binary=True) as fh:
         fh.write(CACHE_MAGIC)
         fh.write(struct.pack("<Q", len(dataset)))
         fh.write(dataset.images.astype("<f4").tobytes())
@@ -336,6 +337,8 @@ def synthetic_mnist(n, seed, distortion=1.0):
     values give an easier, faster-converging task (used by test fixtures).
     Purely deterministic under (n, seed, distortion).
     """
+    if n < 0:
+        raise ConfigError(f"cannot make {n} synthetic digits")
     rng = _rng(seed, "synthetic")
     templates = _digit_templates()
     labels = rng.integers(0, 10, size=n)

@@ -145,8 +145,12 @@ _KEY_MAP = {
 }
 
 
-def _parse_seeds(raw):
-    return tuple(int(s) for s in raw.replace(",", " ").split())
+def parse_seeds(raw):
+    """Seeds from a comma- or space-separated list, as ``seeds=`` and ``--seeds`` give them."""
+    try:
+        return tuple(int(s) for s in raw.replace(",", " ").split())
+    except ValueError:
+        raise ConfigError(f"bad seed list {raw!r}") from None
 
 
 def parse_config_text(text, base=None):
@@ -165,7 +169,7 @@ def parse_config_text(text, base=None):
             raise ConfigError(f"line {lineno}: unknown configuration key {key!r}")
         attr, conv = _KEY_MAP[key]
         try:
-            values[attr] = _parse_seeds(raw) if conv == "seeds" else conv(raw)
+            values[attr] = parse_seeds(raw) if conv == "seeds" else conv(raw)
         except ValueError:
             raise ConfigError(f"line {lineno}: bad value {raw!r} for {key!r}") from None
     base = base or ExperimentConfig()
@@ -444,7 +448,7 @@ def report(run_dir):
                 lines.append(f"{path.name:<18} {row['task']:<6} {row['split']:<5} (all seeds failed)")
     if incomplete:
         lines.append("incomplete runs: " + ", ".join(incomplete))
-    with open(run_dir / "comparison.csv", "w", encoding="utf-8", newline="\n") as fh:
+    with replace_atomically(run_dir / "comparison.csv") as fh:
         fh.write(_row_csv(["run", "task", "split", "n_seeds", "n_failed", "min", "max", "mean", "std_pop"]))
         for row in comparison_rows:
             fh.write(_row_csv([
@@ -454,8 +458,7 @@ def report(run_dir):
     for path in complete:
         if not path.name.startswith("avil"):
             continue
-        out = path / "alpha_long.csv"
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
+        with replace_atomically(path / "alpha_long.csv") as fh:
             fh.write(_row_csv(["seed", "epoch", "task", "alpha", "weight"]))
             for seed_csv in sorted(path.glob("seed*.csv")):
                 seed = seed_csv.stem.removeprefix("seed")

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -171,16 +172,31 @@ def assert_close_to(actual, reference, rtol=1e-12):
     np.testing.assert_allclose(actual, reference, rtol=rtol, atol=rtol * np.abs(reference).max())
 
 
+def block_rows(ho, row_elements):
+    return [s.stop - s.start for s in ad._row_blocks(ho, row_elements)]
+
+
 class TestConv2dReference:
-    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
-    def test_two_stacked_convs_match_naive_loops(self, layout):
+    @pytest.mark.parametrize(
+        "layout, blocks",
+        [pytest.param(layout, "one block", id=layout) for layout in sorted(LAYOUTS)]
+        + [pytest.param(layout, "forced blocks", id=f"{layout}-forced blocks") for layout in sorted(LAYOUTS)],
+    )
+    def test_two_stacked_convs_match_naive_loops(self, monkeypatch, layout, blocks):
         # the second conv reads the first's batch-innermost output and hands
         # back a batch-innermost input gradient as the first's upstream
         gen = np.random.default_rng(11)
-        x = LAYOUTS[layout](gen.standard_normal((2, 3, 8, 8)))
+        h, w = (8, 8) if blocks == "one block" else (18, 8)
+        if blocks == "forced blocks":
+            # uneven row blocks ending in a one-row block: 27 and 16 patch
+            # rows per output position, 6 and 5 output columns, batch 2
+            monkeypatch.setattr(ad, "_BLOCK_ELEMENTS", 1200)
+            assert block_rows(16, 27 * 6 * 2) == [3, 3, 3, 3, 3, 1]
+            assert block_rows(15, 16 * 5 * 2) == [7, 7, 1]
+        x = LAYOUTS[layout](gen.standard_normal((2, 3, h, w)))
         k1, b1 = gen.standard_normal((4, 3, 3, 3)), gen.standard_normal(4)
         k2, b2 = gen.standard_normal((5, 4, 2, 2)), gen.standard_normal(5)
-        upstream = gen.standard_normal((2, 5, 5, 5))
+        upstream = gen.standard_normal((2, 5, h - 3, w - 3))
         leaves = [tracked(a) for a in (x, k1, b1, k2, b2)]
         with Tape():
             hidden = ad.conv2d(*leaves[:3])
@@ -194,6 +210,26 @@ class TestConv2dReference:
         dx, dk1, db1 = naive_conv_vjp(x, k1, d_hidden)
         for leaf, reference in zip(leaves, (dx, dk1, db1, dk2, db2)):
             assert_close_to(leaf.grad, reference)
+
+    def test_peak_memory_stays_within_a_few_row_blocks(self):
+        # the whole (250, 8*8*512) float64 patch matrix would be 62.5 MiB
+        gen = np.random.default_rng(13)
+        x = Tensor(LAYOUTS["batch-innermost"](gen.standard_normal((512, 10, 12, 12))), tracked=True)
+        k, b = tracked(gen.standard_normal((20, 10, 5, 5))), tracked(gen.standard_normal(20))
+        block_bytes = ad._BLOCK_ELEMENTS * 8
+        assert 250 * 8 * 8 * 512 * 8 > 3 * block_bytes
+        tracemalloc.start()
+        try:
+            with Tape():
+                out = ad.conv2d(x, k, b)
+                loss = ad.tensor_sum(out)
+            backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the output, its gradient as tensor_sum hands it and as batch-innermost
+        # rows, the input gradient, and one block's patches or patch gradient
+        assert peak < 3 * out.data.nbytes + x.grad.nbytes + 1.5 * block_bytes
 
 
 def maxpool_reference(x, g):

@@ -115,6 +115,56 @@ def test_csv_writer_that_raises_mid_file_keeps_the_previous_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["summary.csv"]
 
 
+class ImagesInterrupted:
+    """A one-example set whose images fail to arrive once the cache header is written."""
+
+    labels = {"tl": np.zeros(1, dtype=np.int64), "br": np.zeros(1, dtype=np.int64)}
+
+    def __len__(self):
+        return 1
+
+    @property
+    def images(self):
+        raise KeyboardInterrupt
+
+
+def test_an_interrupted_cache_write_keeps_the_previous_cache(tmp_path):
+    path = tmp_path / data.cache_name("train", 7)
+    data.save_cache(data.make_multimnist(np.zeros((2, 28, 28)), np.arange(2), 7, split="train"), path)
+    before = path.read_bytes()
+    with pytest.raises(KeyboardInterrupt):
+        data.save_cache(ImagesInterrupted(), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+@pytest.mark.parametrize(
+    "broken, text",
+    [
+        ("aggregate.csv", "task,split,mean\ntl,test,\n"),  # comparison.csv fails after its header
+        ("seed1.csv", "epoch,alpha_tl\n1,0.5\n"),  # alpha_long.csv fails: no weight column
+    ],
+)
+def test_a_report_that_raises_mid_file_keeps_the_previous_files(tmp_path, broken, text):
+    run = tmp_path / "avil-tl"
+    run.mkdir()
+    inputs = {
+        "summary.csv": "seed,status\n1,ok\n",
+        "aggregate.csv": "task,split,n_seeds,n_failed,min,max,mean,std_pop\ntl,test,1,0,50.0,50.0,50.0,0.0\n",
+        "seed1.csv": "epoch,alpha_tl,weight_tl\n1,0.5,1.0\n",
+    }
+    for name, content in inputs.items():
+        (run / name).write_text(content, encoding="utf-8")
+    harness.report(tmp_path)
+    written = (tmp_path / "comparison.csv", run / "alpha_long.csv")
+    before = [p.read_bytes() for p in written]
+    (run / broken).write_text(text, encoding="utf-8")
+    with pytest.raises(KeyError):
+        harness.report(tmp_path)
+    assert [p.read_bytes() for p in written] == before
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
 def write_config(tmp_path, extra=""):
     path = tmp_path / "run.cfg"
     path.write_text(TINY_TEXT + f"out.dir={tmp_path / 'runs'}\n" + extra, encoding="utf-8")
@@ -131,12 +181,17 @@ def test_cli_trains_and_reports(tmp_path, capsys):
     assert (tmp_path / "runs" / "avil-tl" / "alpha_long.csv").exists()
 
 
-def cli_error(tmp_path, capsys, extra):
-    """The single stderr line of a ``train`` call that must fail."""
-    assert cli.main(["train", "--config", write_config(tmp_path, extra)]) == 1
+def cli_error(capsys, argv):
+    """The single stderr line of a command that must fail."""
+    assert cli.main(argv) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     return lines[0]
+
+
+def config_error(tmp_path, capsys, extra):
+    """The error line of a ``train`` call whose configuration ends with ``extra``."""
+    return cli_error(capsys, ["train", "--config", write_config(tmp_path, extra)])
 
 
 def test_one_config_error_type():
@@ -145,18 +200,35 @@ def test_one_config_error_type():
 
 
 def test_dev_split_larger_than_the_pool_is_a_cli_error(tmp_path, capsys):
-    assert "dev_size 1000" in cli_error(tmp_path, capsys, "data.dev_size=1000\n")
+    assert "dev_size 1000" in config_error(tmp_path, capsys, "data.dev_size=1000\n")
 
 
 @pytest.mark.parametrize("key, raw", [("train.epochs", "1e3"), ("seeds", "1,x"), ("train.lr", "fast")])
 def test_unparsable_value_names_line_and_key(tmp_path, capsys, key, raw):
-    line = cli_error(tmp_path, capsys, f"{key}={raw}\n")
+    line = config_error(tmp_path, capsys, f"{key}={raw}\n")
     assert f"line {len(TINY_KEYS) + 2}" in line and key in line and raw in line
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["train", "--seeds", "1,x"], "'1,x'"),
+        (["generate", "--synthetic", "-5"], "-5"),
+        (["generate"], "--mnist-dir"),
+    ],
+)
+def test_bad_flags_are_one_line_errors(tmp_path, capsys, argv, expected):
+    if argv[0] == "train":
+        argv = argv + ["--config", write_config(tmp_path)]
+    else:
+        argv = argv + ["--out", str(tmp_path / "cache")]
+    assert expected in cli_error(capsys, argv)
+    assert not (tmp_path / "cache").exists() and not (tmp_path / "runs").exists()
 
 
 def test_unknown_target_is_rejected_before_data_is_built(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(harness, "load_pools", lambda config: pytest.fail("data built before the check"))
-    assert "'xx'" in cli_error(tmp_path, capsys, "method=singletask\ntarget=xx\n")
+    assert "'xx'" in config_error(tmp_path, capsys, "method=singletask\ntarget=xx\n")
 
 
 def test_idx_source_with_wrong_image_counts_is_an_error(tmp_path):
