@@ -33,20 +33,20 @@ activation to (batch, features) is a view in both directions.
 ``conv2d`` never holds a whole patch matrix, which is k*k = 25 times its
 input. It works one block of output rows at a time, each block about
 ``_BLOCK_ELEMENTS`` = 2**21 patch elements (16 MiB in float64) and at least
-one row. Two reasons: glibc serves every request over 32 MiB from freshly
-mapped, zero-filled pages, which cost more than the GEMM they feed (a
-float64 batch-512 model forward took 55-68 ms with whole patch matrices and
-27-34 ms in blocks, 2 cores), and peak memory falls by more than half. A
-tape keeps only the input: the kernel gradient rebuilds each block's patches
-and sums the per-block GEMMs, so it moves in the last bits against one
-whole-matrix GEMM; the output, the bias gradient and the input gradient do
-not.
+one row, so peak memory falls by more than half. The blocks also stay under
+the 32 MiB mmap threshold that ``harness`` fixes for a run (glibc's own
+ceiling otherwise): every request above it is served from freshly mapped,
+zero-filled pages, which cost more than the GEMM they feed (a float64
+batch-512 model forward took 55-68 ms with whole patch matrices and 27-34
+ms in blocks, 2 cores). A tape keeps only the input: the kernel gradient
+rebuilds each block's patches and sums the per-block GEMMs, so it moves in
+the last bits against one whole-matrix GEMM; the output, the bias gradient
+and the input gradient do not.
 """
 
 from __future__ import annotations
 
 import functools
-import threading
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -99,21 +99,12 @@ class Tensor:
     __rmul__ = __mul__
 
 
-_tls = threading.local()
-
-
-def _tape_stack():
-    stack = getattr(_tls, "stack", None)
-    if stack is None:
-        stack = []
-        _tls.stack = stack
-    return stack
+_tape_stack = []  # the entered tapes, innermost last
 
 
 def active_tape():
-    """The innermost tape on this thread, or None."""
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+    """The innermost entered tape, or None."""
+    return _tape_stack[-1] if _tape_stack else None
 
 
 class Tape:
@@ -121,23 +112,20 @@ class Tape:
 
     Record ``i`` belongs to the op output with ``node == i`` and lists the
     backward rules of its tracked operands, each keyed by the operand's node
-    index on this tape, or by the operand itself when it is a leaf. Tapes
-    are confined to the thread that opened them; independent tapes on
-    separate threads do not interact.
+    index on this tape, or by the operand itself when it is a leaf.
     """
 
     def __init__(self):
         self._records = []
 
     def __enter__(self):
-        _tape_stack().append(self)
+        _tape_stack.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        stack = _tape_stack()
-        if not stack or stack[-1] is not self:
+        if active_tape() is not self:
             raise RuntimeError("tapes must be exited in the reverse order of entering them")
-        stack.pop()
+        _tape_stack.pop()
         return False
 
     def record(self, rules):
@@ -223,7 +211,8 @@ def linear(x, weight, bias):
 
 
 # Patch elements in one row block of conv2d: 8 MiB in float32, 16 MiB in
-# float64, under the 32 MiB above which glibc maps every request fresh.
+# float64, bounding peak memory and staying under the 32 MiB mmap threshold
+# (fixed in harness) above which glibc maps every request fresh.
 _BLOCK_ELEMENTS = 1 << 21
 
 
@@ -242,16 +231,17 @@ def conv2d(x, kernels, bias):
     (c, h, w, b) memory.
 
     The output is computed one block of output rows at a time: the block's
-    patch matrix, (cin*k*k, rows*wo*b) with rows in the kernel's (cin, ki, kj)
-    order, is copied along rows wo*b long and multiplied straight into the
-    output rows, and the bias is added while they are in cache. A block holds
-    about ``_BLOCK_ELEMENTS`` patch elements and at least one output row, so
-    no temporary grows with k*k times the input: none reaches the 32 MiB
-    above which glibc maps and zero-fills fresh pages on every request, and
-    peak memory stays near that of the input, output and gradients. A tape
-    keeps only the input. The kernel gradient rebuilds each block's patches
-    and sums the per-block GEMMs, block by block; the input gradient forms
-    one block's patch gradient at a time and does its k*k shifted adds.
+    patch matrix, (cin*k*k, rows*wo*b) with rows in the kernel's (cin, ki,
+    kj) order, is copied along rows wo*b long and multiplied straight into
+    the output rows, and the bias is added while they are in cache. A block
+    holds about ``_BLOCK_ELEMENTS`` patch elements and at least one output
+    row, so no temporary grows with k*k times the input: peak memory stays
+    near that of the input, output and gradients, and no block reaches the
+    32 MiB mmap threshold (see ``harness``) above which glibc maps and
+    zero-fills fresh pages on every request. A tape keeps only the input.
+    The kernel gradient rebuilds each block's patches and sums the per-block
+    GEMMs, block by block; the input gradient forms one block's patch
+    gradient at a time and does its k*k shifted adds.
     """
     if x.data.ndim != 4 or kernels.data.ndim != 4:
         raise ShapeError(f"conv2d expects 4-d operands, got {x.shape} and {kernels.shape}")

@@ -69,6 +69,11 @@ class TrainerConfig:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if not 0.0 < self.rho <= 1.0:
             raise ConfigError(f"rho must be in (0, 1], got {self.rho}")
+        for name in ("momentum", "meta_momentum"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if self.dtype not in ("float32", "float64"):
+            raise ConfigError(f"dtype must be 'float32' or 'float64', got {self.dtype!r}")
 
     @property
     def np_dtype(self):

@@ -1,12 +1,16 @@
 """Whole-system tests: complete training runs on a tiny synthetic
 configuration, and the command line's handling of bad configuration."""
 
+import platform
+import resource
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from avil import cli, data, files, harness, model, optim, weighting
+from conftest import toy_set
 from test_data import write_idx_pair
 
 # Small enough for the unit suite, large enough that the model moves off
@@ -229,6 +233,48 @@ def test_bad_flags_are_one_line_errors(tmp_path, capsys, argv, expected):
 def test_unknown_target_is_rejected_before_data_is_built(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(harness, "load_pools", lambda config: pytest.fail("data built before the check"))
     assert "'xx'" in config_error(tmp_path, capsys, "method=singletask\ntarget=xx\n")
+
+
+@pytest.mark.parametrize(
+    "extra, expected",
+    [
+        ("seeds=1,1", "seeds must be distinct, got 1,1"),
+        ("train.dtype=foo", "dtype must be 'float32' or 'float64', got 'foo'"),
+        ("train.dtype=int64", "got 'int64'"),
+        ("train.momentum=1", "momentum must be in [0, 1), got 1.0"),
+        ("avil.meta_momentum=-0.5", "meta_momentum must be in [0, 1), got -0.5"),
+    ],
+)
+def test_bad_values_are_rejected_before_data_is_built(tmp_path, capsys, monkeypatch, extra, expected):
+    monkeypatch.setattr(harness, "load_pools", lambda config: pytest.fail("data built before the check"))
+    assert expected in config_error(tmp_path, capsys, extra)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's heap thresholds")
+def test_a_repeated_pass_refaults_no_heap_memory():
+    harness._keep_heap_resident()
+    net = model.build_model(["tl", "br"], seed=1, dtype=np.float32)
+    loss_grad = weighting.dev_loss_grad(net, toy_set(400, seed=3), "tl", batch_size=400)
+    theta = net.snapshot()
+    loss_grad(theta)  # warm-up: the heap grows to what one pass needs
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    loss_grad(theta)
+    # about 4.8k minor faults per pass under glibc's default thresholds
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
+
+
+def no_mallopt(name):
+    return SimpleNamespace()
+
+
+def no_c_library(name):
+    raise OSError("cannot open the C library")
+
+
+@pytest.mark.parametrize("lookup", [no_mallopt, no_c_library])
+def test_keeping_the_heap_resident_is_a_silent_no_op_without_mallopt(monkeypatch, lookup):
+    monkeypatch.setattr(harness.ctypes, "CDLL", lookup)
+    harness._keep_heap_resident.__wrapped__()
 
 
 def test_idx_source_with_wrong_image_counts_is_an_error(tmp_path):
