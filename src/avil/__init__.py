@@ -3,7 +3,6 @@
 from .autodiff import Tape, Tensor, backward
 from .model import MultiHeadModel, build_model, combine
 from .weighting import (
-    TrainerConfig,
     alpha_gradient,
     avil_train,
     collect_delta,
@@ -23,7 +22,6 @@ __all__ = [
     "MultiHeadModel",
     "build_model",
     "combine",
-    "TrainerConfig",
     "alpha_gradient",
     "avil_train",
     "collect_delta",

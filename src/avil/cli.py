@@ -81,7 +81,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except (ConfigError, harness.ReportError, datamod.IdxFormatError, FileNotFoundError) as exc:
+    except (ConfigError, harness.ReportError, datamod.IdxFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -244,12 +244,15 @@ def sample_fraction(dataset, rho, seed, epoch, key=""):
     """floor(rho*n) indices without replacement, keyed by (seed, epoch, key).
 
     Each epoch (and each key, typically a task id) draws a fresh subset;
-    rho=1 yields the full index range in shuffled order.
+    rho=1 yields the full index range in shuffled order. A rho that would
+    draw no index at all is a ConfigError.
     """
     if not 0.0 < rho <= 1.0:
         raise ConfigError(f"rho must be in (0, 1], got {rho}")
     n = len(dataset)
     k = int(np.floor(rho * n))
+    if k == 0:
+        raise ConfigError(f"rho {rho} samples no example out of {n}")
     return _rng(seed, "sample", epoch, key).permutation(n)[:k]
 
 
@@ -284,10 +287,10 @@ def save_cache(dataset, path):
 
 def load_cache(path, split):
     with open(path, "rb") as fh:
-        magic = fh.read(4)
+        magic = _read_exact(fh, 4, path, 0)
         if magic != CACHE_MAGIC:
             raise IdxFormatError(f"{path}: bad cache magic {magic!r} at offset 0")
-        (n,) = struct.unpack("<Q", fh.read(8))
+        (n,) = struct.unpack("<Q", _read_exact(fh, 8, path, 4))
         raw = _read_exact(fh, n * 28 * 28 * 4, path, 12)
         images = np.frombuffer(raw, dtype="<f4").reshape(n, 1, 28, 28).copy()
         tl = np.frombuffer(_read_exact(fh, n, path, 12 + len(raw)), dtype=np.uint8).astype(np.int64)

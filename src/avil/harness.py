@@ -12,6 +12,11 @@ place, so an interrupted run leaves no partial file.
 Reruns with an identical configuration produce byte-identical CSV files
 and checkpoints (tests/test_training.py).
 
+``ExperimentConfig`` holds every setting of a run. The trainers in
+``weighting`` read their values from it by attribute, and its
+``__post_init__`` checks them all, so a bad value fails before any data is
+built.
+
 ``run_experiment`` first fixes the C library's two heap thresholds with
 glibc's ``mallopt`` (``_keep_heap_resident``): up to 256 MiB of freed heap
 memory is kept, and requests under 32 MiB are served from the heap. Each
@@ -35,7 +40,7 @@ from . import weighting
 from .errors import ConfigError
 from .files import replace_atomically
 from .model import build_model, save_checkpoint
-from .weighting import NanLossError, TrainerConfig
+from .weighting import NanLossError
 
 
 class ReportError(RuntimeError):
@@ -89,7 +94,22 @@ class ExperimentConfig:
             raise ConfigError("at least one seed is required")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"seeds must be distinct, got {','.join(str(s) for s in self.seeds)}")
-        self.trainer_config()  # checks the trainer values before any data is built
+        # the trainer values, checked before any data is built
+        if self.effective_epochs < 0:
+            raise ConfigError(f"epochs must be >= 0, got {self.effective_epochs}")
+        for name in ("batch_size", "tune_steps", "diw_patience", "eval_batch_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("learning_rate", "meta_learning_rate", "clamp_floor", "diw_eta"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if not 0.0 < self.rho <= 1.0:
+            raise ConfigError(f"rho must be in (0, 1], got {self.rho}")
+        for name in ("momentum", "meta_momentum"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if self.dtype not in ("float32", "float64"):
+            raise ConfigError(f"dtype must be 'float32' or 'float64', got {self.dtype!r}")
 
     @property
     def effective_epochs(self):
@@ -103,22 +123,9 @@ class ExperimentConfig:
             return self.train_subset
         return DESK_TRAIN_SUBSET if self.scale == "desk" else None
 
-    def trainer_config(self):
-        return TrainerConfig(
-            epochs=self.effective_epochs,
-            batch_size=self.batch_size,
-            learning_rate=self.learning_rate,
-            momentum=self.momentum,
-            rho=self.rho,
-            tune_steps=self.tune_steps,
-            meta_learning_rate=self.meta_learning_rate,
-            meta_momentum=self.meta_momentum,
-            clamp_floor=self.clamp_floor,
-            diw_eta=self.diw_eta,
-            diw_patience=self.diw_patience,
-            eval_batch_size=self.eval_batch_size,
-            dtype=self.dtype,
-        )
+    @property
+    def np_dtype(self):
+        return np.dtype(self.dtype)
 
     def run_name(self):
         if self.method in ("singletask", "avil", "diw"):
@@ -190,7 +197,11 @@ def parse_config_text(text, base=None):
 
 
 def load_config(path, overrides=None):
-    cfg = parse_config_text(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+    cfg = parse_config_text(text)
     if overrides:
         cfg = replace(cfg, **overrides)
     return cfg
@@ -389,15 +400,15 @@ def _keep_heap_resident():
     mallopt(_M_MMAP_THRESHOLD, _HEAP_MMAP_THRESHOLD)
 
 
-def _dispatch(config, trainer_cfg, train_set, dev_set, seed):
+def _dispatch(config, train_set, dev_set, seed):
     tasks = sorted(train_set.labels)
     if config.method == "singletask":
-        return weighting.singletask_train(train_set, dev_set, config.target, trainer_cfg, seed)
+        return weighting.singletask_train(train_set, dev_set, config.target, config, seed)
     if config.method == "multitask":
-        return weighting.multitask_train(train_set, dev_set, tasks, trainer_cfg, seed)
+        return weighting.multitask_train(train_set, dev_set, tasks, config, seed)
     if config.method == "diw":
-        return weighting.diw_train(train_set, dev_set, tasks, config.target, trainer_cfg, seed)
-    return weighting.avil_train(train_set, dev_set, tasks, config.target, trainer_cfg, seed)
+        return weighting.diw_train(train_set, dev_set, tasks, config.target, config, seed)
+    return weighting.avil_train(train_set, dev_set, tasks, config.target, config, seed)
 
 
 def run_experiment(config, pools=None):
@@ -409,19 +420,18 @@ def run_experiment(config, pools=None):
     loss turns NaN is recorded as failed and excluded from aggregates.
     """
     _keep_heap_resident()
+    run_dir = Path(config.out_dir) / config.run_name()
+    run_dir.mkdir(parents=True, exist_ok=True)  # an unusable out_dir fails before the data is built
+    with replace_atomically(run_dir / "config.txt") as fh:
+        fh.write(config_echo(config))
     if pools is None:
         pools = load_pools(config)
     train_pool, test_set = pools
-    trainer_cfg = config.trainer_config()
-    run_dir = Path(config.out_dir) / config.run_name()
-    run_dir.mkdir(parents=True, exist_ok=True)
-    with replace_atomically(run_dir / "config.txt") as fh:
-        fh.write(config_echo(config))
     summary_rows = []
     for seed in config.seeds:
         train_set, dev_set = seed_datasets(config, train_pool, seed)
         try:
-            result = _dispatch(config, trainer_cfg, train_set, dev_set, seed)
+            result = _dispatch(config, train_set, dev_set, seed)
         except NanLossError as exc:
             summary_rows.append({
                 "seed": seed, "task": config.target, "status": f"failed:{exc}",
@@ -429,7 +439,7 @@ def run_experiment(config, pools=None):
             continue
         write_seed_csv(run_dir / f"seed{seed}.csv", result)
         for task, best in sorted(result.best.items()):
-            eval_model = build_model(result.task_ids, seed, dtype=trainer_cfg.np_dtype)
+            eval_model = build_model(result.task_ids, seed, dtype=config.np_dtype)
             eval_model.restore(best.params)
             test_acc, _ = weighting.evaluate(eval_model, test_set, task, config.eval_batch_size)
             suffix = f"_{task}" if len(result.best) > 1 else ""

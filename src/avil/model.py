@@ -199,23 +199,29 @@ def save_checkpoint(path, values, task_ids):
         fh.write(values.tobytes())
 
 
+def _read_exact(fh, count, path):
+    offset = fh.tell()
+    raw = fh.read(count)
+    if len(raw) != count:
+        raise ConfigError(f"{path}: truncated checkpoint at offset {offset} ({len(raw)} of {count} bytes)")
+    return raw
+
+
 def load_checkpoint(path):
     """Read a checkpoint; returns (values float64, task_ids)."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
+        magic = _read_exact(fh, 4, path)
         if magic != CHECKPOINT_MAGIC:
             raise ConfigError(f"{path}: bad checkpoint magic {magic!r}")
-        (version,) = struct.unpack("<I", fh.read(4))
+        (version,) = struct.unpack("<I", _read_exact(fh, 4, path))
         if version != CHECKPOINT_VERSION:
             raise ConfigError(f"{path}: unsupported checkpoint version {version}")
-        (count,) = struct.unpack("<Q", fh.read(8))
-        (ntasks,) = struct.unpack("<I", fh.read(4))
+        (count,) = struct.unpack("<Q", _read_exact(fh, 8, path))
+        (ntasks,) = struct.unpack("<I", _read_exact(fh, 4, path))
         task_ids = []
         for _ in range(ntasks):
-            (ln,) = struct.unpack("<I", fh.read(4))
-            task_ids.append(fh.read(ln).decode("utf-8"))
-        raw = fh.read(count * 8)
-        if len(raw) != count * 8:
-            raise ConfigError(f"{path}: truncated checkpoint ({len(raw)} of {count * 8} bytes)")
+            (ln,) = struct.unpack("<I", _read_exact(fh, 4, path))
+            task_ids.append(_read_exact(fh, ln, path).decode("utf-8"))
+        raw = _read_exact(fh, count * 8, path)
         values = np.frombuffer(raw, dtype="<f8").copy()
     return values, task_ids

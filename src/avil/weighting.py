@@ -18,7 +18,10 @@ with alpha pinned to 1 retraces singletask training exactly
 (tests/test_training.py::test_one_task_avil_with_unit_alphas_is_singletask).
 
 All four regimes share one epoch loop (``_run``): each supplies only the
-step that proposes the next epoch's base parameters.
+step that proposes the next epoch's base parameters. Every trainer reads
+its settings as attributes of the run's ``harness.ExperimentConfig``
+(``effective_epochs``, ``batch_size``, ``learning_rate`` and so on); this
+module imports no configuration type, and the config validates the values.
 
 The alpha gradient is computed analytically as g_i = <delta_i, grad of the
 dev loss at the mixed parameters>, so one dev-set gradient pass per tuning
@@ -43,50 +46,11 @@ class NanLossError(RuntimeError):
 
 
 @dataclass
-class TrainerConfig:
-    epochs: int = 100
-    batch_size: int = 256
-    learning_rate: float = 0.05
-    momentum: float = 0.9
-    rho: float = 1.0
-    tune_steps: int = 10
-    meta_learning_rate: float = 0.005
-    meta_momentum: float = 0.5
-    clamp_floor: float = 1e-6
-    diw_eta: float = 0.1
-    diw_patience: int = 10
-    eval_batch_size: int = 512
-    dtype: str = "float64"
-
-    def __post_init__(self):
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        for name in ("batch_size", "tune_steps", "diw_patience", "eval_batch_size"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("learning_rate", "meta_learning_rate", "clamp_floor", "diw_eta"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if not 0.0 < self.rho <= 1.0:
-            raise ConfigError(f"rho must be in (0, 1], got {self.rho}")
-        for name in ("momentum", "meta_momentum"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
-        if self.dtype not in ("float32", "float64"):
-            raise ConfigError(f"dtype must be 'float32' or 'float64', got {self.dtype!r}")
-
-    @property
-    def np_dtype(self):
-        return np.dtype(self.dtype)
-
-
-@dataclass
 class EpochRow:
     """One per-epoch record: the data behind run CSVs and weight/alpha plots.
 
-    ``delta_norms`` and ``diw_attempts`` are in-memory diagnostics (not CSV
-    columns): delta magnitudes per task for avil, inner-loop attempt counts
-    for DIW.
+    ``diw_attempts``, DIW's inner-loop attempt count, is kept in memory
+    only; it is not a CSV column.
     """
 
     epoch: int
@@ -95,7 +59,6 @@ class EpochRow:
     target_dev_loss: float | None = None
     alphas: dict | None = None
     weights: dict | None = None
-    delta_norms: dict | None = None
     diw_attempts: int | None = None
 
 
@@ -162,22 +125,13 @@ def _epoch_pass(model, base, batch_list, dataset, loss_builder, learning_rate, m
     return disp, {task: total / count for task, total in loss_sums.items()}
 
 
-def _single_loss(dataset, task, weight=None):
-    def builder(model, idx):
-        ce = ad.cross_entropy_mean(model.forward(dataset.images[idx], task), dataset.labels[task][idx])
-        raw = {task: float(ce.data)}
-        if weight is not None:
-            return ad.scale(ce, weight), raw
-        return ce, raw
-
-    return builder
-
-
 def _joint_loss(dataset, tasks, weights):
     """Sum of per-task losses scaled by ``weights`` on the shared input.
 
     The encoder runs once; every head consumes the same features, so the
-    encoder gradient accumulates all tasks' contributions.
+    encoder gradient accumulates all tasks' contributions. One task at
+    weight 1.0 is the plain cross-entropy: scaling by 1.0 is exact both
+    forward and in the VJP.
     """
 
     def builder(model, idx):
@@ -205,7 +159,7 @@ def collect_delta(model, base, task, w_norm, order, dataset, cfg):
     batch_list = chunk_indices(order, cfg.batch_size)
     disp, raw = _epoch_pass(
         model, base, batch_list, dataset,
-        _single_loss(dataset, task, weight=w_norm),
+        _joint_loss(dataset, [task], [w_norm]),
         cfg.learning_rate, cfg.momentum,
     )
     model.restore(base)
@@ -261,16 +215,14 @@ def alpha_gradient(loss_grad, base, deltas, alphas):
     return g
 
 
-def tune_alphas(loss_grad, base, deltas, steps=10, learning_rate=0.005, momentum=0.5, on_step=None):
+def tune_alphas(loss_grad, base, deltas, steps=10, learning_rate=0.005, momentum=0.5):
     """Mixing coefficients after ``steps`` meta-SGD steps from all-ones."""
     if steps < 1:
         raise ConfigError(f"steps must be >= 1, got {steps}")
     alphas = np.ones(len(deltas), dtype=np.float64)
     state = optim.SgdState(learning_rate, momentum, len(deltas))
-    for step in range(steps):
+    for _ in range(steps):
         grad = alpha_gradient(loss_grad, base, deltas, alphas)
-        if on_step is not None:
-            on_step(step, alphas.copy(), grad.copy())
         alphas = optim.sgd_step(state, alphas, grad)
     return alphas
 
@@ -302,7 +254,7 @@ def _run(model, dev_set, target, cfg, step):
         acc, _ = evaluate(model, dev_set, task, cfg.eval_batch_size)
         _update_best(best, task, 0, acc, base)
     rows = []
-    for epoch in range(1, cfg.epochs + 1):
+    for epoch in range(1, cfg.effective_epochs + 1):
         base, train_losses, extra = step(epoch, base, best)
         model.restore(base)
         accs, losses = {}, {}
@@ -323,7 +275,7 @@ def singletask_train(train_set, dev_set, task, cfg, seed):
         order = sample_fraction(train_set, cfg.rho, seed, epoch, key=task)
         disp, raw = _epoch_pass(
             model, base, chunk_indices(order, cfg.batch_size), train_set,
-            _single_loss(train_set, task), cfg.learning_rate, cfg.momentum,
+            _joint_loss(train_set, [task], [1.0]), cfg.learning_rate, cfg.momentum,
         )
         return base + disp, raw, {}
 
@@ -379,7 +331,6 @@ def avil_train(train_set, dev_set, tasks, target, cfg, seed):
         return combine(base, deltas, alphas), train_losses, dict(
             alphas={t: float(a) for t, a in zip(tasks, alphas)},
             weights={t: float(w) for t, w in zip(tasks, weights)},
-            delta_norms={t: float(np.linalg.norm(d)) for t, d in zip(tasks, deltas)},
         )
 
     return _run(model, dev_set, target, cfg, step)
@@ -408,7 +359,7 @@ def diw_train(train_set, dev_set, tasks, target, cfg, seed):
         for i, task in enumerate(tasks):
             _epoch_pass(
                 model, base, batch_list, train_set,
-                _single_loss(train_set, task), cfg.learning_rate, cfg.momentum,
+                _joint_loss(train_set, [task], [1.0]), cfg.learning_rate, cfg.momentum,
             )
             single_acc[i], _ = evaluate(model, dev_set, target, cfg.eval_batch_size)
             model.restore(base)

@@ -236,6 +236,11 @@ class TestSampling:
             with pytest.raises(ConfigError):
                 sample_fraction(ds, rho, seed=0, epoch=0)
 
+    def test_rho_that_samples_nothing_rejected(self, rng):
+        assert len(sample_fraction(_toy(10, rng), 0.1, seed=0, epoch=0)) == 1
+        with pytest.raises(ConfigError, match="rho 0.09 samples no example out of 10"):
+            sample_fraction(_toy(10, rng), 0.09, seed=0, epoch=0)
+
 
 class TestBatches:
     def test_sizes(self, rng):
@@ -271,6 +276,16 @@ class TestCache:
         path = tmp_path / "bad.mm01"
         path.write_bytes(b"XXXX" + bytes(32))
         with pytest.raises(IdxFormatError, match="magic"):
+            load_cache(path, split="train")
+
+    # inside the magic, after it, inside the example count, after it
+    @pytest.mark.parametrize("cut", [2, 4, 8, 12])
+    def test_file_cut_in_its_header_reports_offset(self, tmp_path, rng, cut):
+        ds = make_multimnist(rng.uniform(size=(4, 28, 28)), rng.integers(0, 10, 4), pair_seed=2, split="train")
+        path = tmp_path / "cache.mm01"
+        save_cache(ds, path)
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(IdxFormatError, match=f"truncated at offset {cut} "):
             load_cache(path, split="train")
 
 

@@ -178,6 +178,17 @@ class TestCheckpoint:
         with pytest.raises(ConfigError, match="magic"):
             load_checkpoint(path)
 
+    # magic 0-4, version 4-8, count 8-16, task count 16-20, then per task
+    # its length 20-24 and its bytes 24-26, then the values
+    @pytest.mark.parametrize("cut, field_start", [(2, 0), (6, 4), (12, 8), (18, 16), (22, 20), (25, 24)])
+    def test_file_cut_in_its_header_reports_offset(self, tmp_path, cut, field_start):
+        model = build_model(["tl"], seed=1)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model.snapshot(), model.task_ids)
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(ConfigError, match=f"truncated checkpoint at offset {field_start} "):
+            load_checkpoint(path)
+
     def test_truncation_rejected(self, tmp_path):
         model = build_model(["tl"], seed=1)
         path = tmp_path / "model.ckpt"

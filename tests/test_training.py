@@ -53,10 +53,9 @@ def test_rerun_writes_byte_identical_files(tmp_path, method):
 def test_one_task_avil_with_unit_alphas_is_singletask(monkeypatch, dtype):
     config = replace(TINY, dtype=dtype, rho=0.5, epochs=3)
     train, dev = harness.seed_datasets(config, harness.load_pools(config)[0], 2)
-    cfg = config.trainer_config()
-    single = weighting.singletask_train(train, dev, "tl", cfg, 2)
+    single = weighting.singletask_train(train, dev, "tl", config, 2)
     monkeypatch.setattr(weighting, "tune_alphas", lambda loss_grad, base, deltas, **kw: np.ones(len(deltas)))
-    avil = weighting.avil_train(train, dev, ["tl"], "tl", cfg, 2)
+    avil = weighting.avil_train(train, dev, ["tl"], "tl", config, 2)
     assert single.best.keys() == avil.best.keys() == {"tl"}
     assert single.best["tl"].epoch == avil.best["tl"].epoch
     np.testing.assert_array_equal(single.best["tl"].params, avil.best["tl"].params)
@@ -243,11 +242,56 @@ def test_unknown_target_is_rejected_before_data_is_built(tmp_path, capsys, monke
         ("train.dtype=int64", "got 'int64'"),
         ("train.momentum=1", "momentum must be in [0, 1), got 1.0"),
         ("avil.meta_momentum=-0.5", "meta_momentum must be in [0, 1), got -0.5"),
+        ("train.epochs=-1", "epochs must be >= 0, got -1"),
+        ("train.batch_size=0", "batch_size must be >= 1, got 0"),
+        ("avil.s=0", "tune_steps must be >= 1, got 0"),
+        ("eval.batch_size=0", "eval_batch_size must be >= 1, got 0"),
+        ("train.lr=0", "learning_rate must be positive, got 0.0"),
+        ("avil.meta_lr=0", "meta_learning_rate must be positive, got 0.0"),
+        ("clamp.floor=0", "clamp_floor must be positive, got 0.0"),
+        ("diw.eta_w=0", "diw_eta must be positive, got 0.0"),
+        ("diw.patience=0", "diw_patience must be >= 1, got 0"),
+        ("train.rho=0", "rho must be in (0, 1], got 0.0"),
     ],
 )
 def test_bad_values_are_rejected_before_data_is_built(tmp_path, capsys, monkeypatch, extra, expected):
     monkeypatch.setattr(harness, "load_pools", lambda config: pytest.fail("data built before the check"))
     assert expected in config_error(tmp_path, capsys, extra)
+
+
+def test_a_config_directory_is_a_cli_error(tmp_path, capsys):
+    assert "Is a directory" in cli_error(capsys, ["train", "--config", str(tmp_path)])
+
+
+def test_a_config_file_that_is_not_utf8_is_a_cli_error(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(TINY_TEXT.encode("utf-8") + b"# caf\xe9\n")
+    line = cli_error(capsys, ["train", "--config", str(path)])
+    assert str(path) in line and "not UTF-8" in line
+
+
+def test_an_out_dir_under_a_regular_file_fails_before_data_is_built(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(harness, "load_pools", lambda config: pytest.fail("data built before the check"))
+    (tmp_path / "plain").write_text("", encoding="utf-8")
+    assert "Not a directory" in config_error(tmp_path, capsys, f"out.dir={tmp_path / 'plain' / 'runs'}\n")
+
+
+def test_a_cache_cut_inside_its_header_is_a_cli_error(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    assert cli.main(["generate", "--synthetic", "30", "--synthetic-test", "10", "--pair-seed", "7",
+                     "--out", str(cache)]) == 0
+    train = cache / data.cache_name("train", 7)
+    train.write_bytes(train.read_bytes()[:8])  # inside the example count
+    # data.source=auto prefers the cache files
+    line = config_error(tmp_path, capsys, f"data.source=auto\ndata.dir={cache}\n")
+    assert "truncated at offset 8" in line
+
+
+@pytest.mark.parametrize("method", ["singletask", "avil"])
+def test_a_rho_that_samples_nothing_is_a_cli_error(tmp_path, capsys, method):
+    # 240 synthetic images less the 60-image dev split leave 180
+    line = config_error(tmp_path, capsys, f"method={method}\ntrain.rho=0.001\n")
+    assert "rho 0.001 samples no example out of 180" in line
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's heap thresholds")

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from gradcheck import assert_gradients_close
+from avil import autodiff as ad
+from avil.harness import ExperimentConfig
 from avil.model import build_model, combine
 from avil.weighting import (
     ConfigError,
     NanLossError,
-    TrainerConfig,
     alpha_gradient,
     collect_delta,
     dev_loss_grad,
@@ -15,7 +16,7 @@ from avil.weighting import (
 )
 from conftest import toy_set
 
-CFG64 = TrainerConfig(epochs=1, batch_size=16, eval_batch_size=64, dtype="float64")
+CFG64 = ExperimentConfig(epochs=1, batch_size=16, eval_batch_size=64, dtype="float64")
 
 
 def quadratic_loss_grad(center):
@@ -56,7 +57,7 @@ class TestCollectDelta:
         # momentum 0, one batch: the power-of-two loss scale commutes
         # exactly through the backward pass and the update
         ds = toy_set(16, seed=4)
-        cfg = TrainerConfig(epochs=1, batch_size=16, momentum=0.0, eval_batch_size=64, dtype="float64")
+        cfg = ExperimentConfig(epochs=1, batch_size=16, momentum=0.0, eval_batch_size=64, dtype="float64")
         model = build_model(["tl", "br"], seed=5, dtype=np.float64)
         base = model.snapshot()
         order = np.arange(16)
@@ -67,16 +68,21 @@ class TestCollectDelta:
     def test_unit_weight_matches_plain_epoch(self, rng):
         # scaling by exactly 1.0 is the identity; delta equals an unweighted pass
         from avil.data import chunk_indices
-        from avil.weighting import _epoch_pass, _single_loss
+        from avil.weighting import _epoch_pass
 
         ds = toy_set(24, seed=6)
         model = build_model(["tl"], seed=7, dtype=np.float64)
         base = model.snapshot()
         order = np.arange(24)
         delta, _ = collect_delta(model, base, "tl", 1.0, order, ds, CFG64)
+
+        def plain_loss(model, idx):
+            ce = ad.cross_entropy_mean(model.forward(ds.images[idx], "tl"), ds.labels["tl"][idx])
+            return ce, {"tl": float(ce.data)}
+
         plain, _ = _epoch_pass(
             model, base, chunk_indices(order, CFG64.batch_size), ds,
-            _single_loss(ds, "tl"), CFG64.learning_rate, CFG64.momentum,
+            plain_loss, CFG64.learning_rate, CFG64.momentum,
         )
         model.restore(base)
         np.testing.assert_array_equal(delta, plain)
@@ -158,14 +164,18 @@ class TestTuneAlphas:
         np.testing.assert_array_equal(alphas, np.ones(1))
 
     def test_alphas_start_at_one(self, rng):
-        seen = []
-        lg = quadratic_loss_grad(rng.standard_normal(10))
-        tune_alphas(
-            lg, rng.standard_normal(10), [rng.standard_normal(10)],
-            steps=3, on_step=lambda step, alphas, grad: seen.append((step, alphas)),
-        )
-        assert seen[0][0] == 0
-        np.testing.assert_array_equal(seen[0][1], np.ones(1))
+        thetas = []
+        quadratic = quadratic_loss_grad(rng.standard_normal(10))
+
+        def lg(theta):
+            thetas.append(theta.copy())
+            return quadratic(theta)
+
+        base = rng.standard_normal(10)
+        deltas = [rng.standard_normal(10)]
+        tune_alphas(lg, base, deltas, steps=3)
+        assert len(thetas) == 3
+        np.testing.assert_array_equal(thetas[0], combine(base, deltas, np.ones(1)))
 
     def test_one_dimensional_quadratic_reaches_analytic_minimizer(self, rng):
         base = rng.standard_normal(25)
