@@ -84,19 +84,8 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, tracked={self.tracked})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, c):
-        return scale(self, c)
-
-    __rmul__ = __mul__
 
 
 _tape_stack = []  # the entered tapes, innermost last
@@ -132,9 +121,6 @@ class Tape:
         """Append one op's rules; returns the node index of its output."""
         self._records.append(rules)
         return len(self._records) - 1
-
-    def __len__(self):
-        return len(self._records)
 
 
 def _make(data, rules):

@@ -15,15 +15,14 @@ def _cmd_generate(args):
     if args.mnist_dir is None and args.synthetic is None:
         raise ConfigError("generate: provide --mnist-dir or --synthetic N")
     if args.mnist_dir is not None:
-        train_images, train_labels = datamod.load_idx(*datamod.find_idx_pair(args.mnist_dir, "train"))
-        test_images, test_labels = datamod.load_idx(*datamod.find_idx_pair(args.mnist_dir, "t10k"))
+        source = {"data_source": "idx", "data_dir": args.mnist_dir}
     else:
-        train_images, train_labels = datamod.synthetic_mnist(args.synthetic, args.pair_seed)
-        test_images, test_labels = datamod.synthetic_mnist(args.synthetic_test, args.pair_seed + 1)
+        source = {"data_source": "synthetic", "synthetic_n": args.synthetic, "synthetic_test_n": args.synthetic_test}
+    # built as `avil train` builds them, with the same checks
+    pools = harness.load_pools(harness.ExperimentConfig(pair_seed=args.pair_seed, **source))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for split, images, labels in (("train", train_images, train_labels), ("test", test_images, test_labels)):
-        dataset = datamod.make_multimnist(images, labels, args.pair_seed, split=split)
+    for split, dataset in zip(("train", "test"), pools):
         path = out / datamod.cache_name(split, args.pair_seed)
         datamod.save_cache(dataset, path)
         print(f"wrote {path} ({len(dataset)} examples)")
@@ -81,7 +80,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except (ConfigError, harness.ReportError, datamod.IdxFormatError, OSError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -20,16 +20,18 @@ regime as on handwritten digits.
 from __future__ import annotations
 
 import gzip
+import io
 import struct
 import zlib
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 from scipy import ndimage
 
 from .errors import ConfigError
-from .files import replace_atomically
+from .files import read_exact, replace_atomically
 
 TASK_TOP_LEFT = "tl"
 TASK_BOTTOM_RIGHT = "br"
@@ -37,10 +39,6 @@ CACHE_MAGIC = b"MM01"
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
-
-
-class IdxFormatError(ValueError):
-    """Malformed IDX input; message carries the byte offset of the problem."""
 
 
 @dataclass
@@ -92,49 +90,49 @@ def _rng(seed, *keys):
 
 
 def _open_maybe_gzip(path):
-    with open(path, "rb") as fh:
-        magic = fh.read(2)
-    if magic == b"\x1f\x8b":
-        return gzip.open(path, "rb")
-    return open(path, "rb")
+    """The open file, or for gzip input its decompressed bytes in memory.
 
-
-def _read_exact(fh, count, path, offset):
-    data = fh.read(count)
-    if len(data) != count:
-        raise IdxFormatError(
-            f"{path}: truncated at offset {offset + len(data)} (wanted {count} bytes, got {len(data)})"
-        )
-    return data
+    ``read_exact`` seeks to the end to find the bytes left, which a
+    ``GzipFile`` cannot do, and its ``fileno`` is the compressed file. The
+    official train images take 47 MB decompressed.
+    """
+    fh = open(path, "rb")
+    if fh.read(2) != b"\x1f\x8b":
+        fh.seek(0)
+        return fh
+    with fh:
+        fh.seek(0)
+        try:
+            return io.BytesIO(gzip.decompress(fh.read()))
+        except (EOFError, zlib.error) as exc:  # a bad gzip header is an OSError already
+            raise ConfigError(f"{path}: bad gzip data ({exc})") from None
 
 
 def load_idx(images_path, labels_path):
     """Parse a big-endian IDX image/label file pair.
 
-    Returns (images [n,28,28] float32 scaled to [0,1], labels [n] int64).
-    Raises IdxFormatError on bad magic, truncation, or an image/label count
-    mismatch.
+    Either file may be gzip-compressed. Returns (images [n,28,28] float32
+    scaled to [0,1], labels [n] int64). Raises ConfigError on bad magic, on
+    a header that implies more bytes than the file holds (checked before
+    they are read), on bad gzip data, or on an image/label count mismatch.
     """
     with _open_maybe_gzip(images_path) as fh:
-        header = _read_exact(fh, 16, images_path, 0)
-        magic, n, rows, cols = struct.unpack(">IIII", header)
+        magic, n, rows, cols = struct.unpack(">IIII", read_exact(fh, 16, images_path))
         if magic != IDX_IMAGES_MAGIC:
-            raise IdxFormatError(
+            raise ConfigError(
                 f"{images_path}: bad image magic 0x{magic:08x} at offset 0 (expected 0x{IDX_IMAGES_MAGIC:08x})"
             )
-        raw = _read_exact(fh, n * rows * cols, images_path, 16)
+        raw = read_exact(fh, n * rows * cols, images_path)
         images = np.frombuffer(raw, dtype=np.uint8).reshape(n, rows, cols)
     with _open_maybe_gzip(labels_path) as fh:
-        header = _read_exact(fh, 8, labels_path, 0)
-        magic, n_labels = struct.unpack(">II", header)
+        magic, n_labels = struct.unpack(">II", read_exact(fh, 8, labels_path))
         if magic != IDX_LABELS_MAGIC:
-            raise IdxFormatError(
+            raise ConfigError(
                 f"{labels_path}: bad label magic 0x{magic:08x} at offset 0 (expected 0x{IDX_LABELS_MAGIC:08x})"
             )
-        raw = _read_exact(fh, n_labels, labels_path, 8)
-        labels = np.frombuffer(raw, dtype=np.uint8)
+        labels = np.frombuffer(read_exact(fh, n_labels, labels_path), dtype=np.uint8)
     if n != n_labels:
-        raise IdxFormatError(
+        raise ConfigError(
             f"{images_path} has {n} images but {labels_path} has {n_labels} labels"
         )
     return images.astype(np.float32) / 255.0, labels.astype(np.int64)
@@ -142,8 +140,6 @@ def load_idx(images_path, labels_path):
 
 def find_idx_pair(directory, prefix):
     """Locate `<prefix>-images-idx3-ubyte[.gz]` and the matching label file."""
-    from pathlib import Path
-
     directory = Path(directory)
     pair = []
     for kind, code in (("images", "idx3"), ("labels", "idx1")):
@@ -286,15 +282,16 @@ def save_cache(dataset, path):
 
 
 def load_cache(path, split):
+    """Read a ``save_cache`` file; a bad magic or a short file is a ConfigError."""
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, path, 0)
+        magic = read_exact(fh, 4, path)
         if magic != CACHE_MAGIC:
-            raise IdxFormatError(f"{path}: bad cache magic {magic!r} at offset 0")
-        (n,) = struct.unpack("<Q", _read_exact(fh, 8, path, 4))
-        raw = _read_exact(fh, n * 28 * 28 * 4, path, 12)
+            raise ConfigError(f"{path}: bad cache magic {magic!r} at offset 0")
+        (n,) = struct.unpack("<Q", read_exact(fh, 8, path))
+        raw = read_exact(fh, n * 28 * 28 * 4, path)
         images = np.frombuffer(raw, dtype="<f4").reshape(n, 1, 28, 28).copy()
-        tl = np.frombuffer(_read_exact(fh, n, path, 12 + len(raw)), dtype=np.uint8).astype(np.int64)
-        br = np.frombuffer(_read_exact(fh, n, path, 12 + len(raw) + n), dtype=np.uint8).astype(np.int64)
+        tl = np.frombuffer(read_exact(fh, n, path), dtype=np.uint8).astype(np.int64)
+        br = np.frombuffer(read_exact(fh, n, path), dtype=np.uint8).astype(np.int64)
     return MultiMnistSet(images=images, labels={TASK_TOP_LEFT: tl, TASK_BOTTOM_RIGHT: br}, split=split)
 
 
@@ -330,15 +327,13 @@ def _digit_templates():
     return templates
 
 
-def synthetic_mnist(n, seed, distortion=1.0):
+def synthetic_mnist(n, seed):
     """Seeded digit images [n,28,28] float32 in [0,1] plus labels [n].
 
     Each sample applies a random affine map (rotation, anisotropic scale,
     shear, translation) composed with an elastic displacement field, then
-    blur and contrast jitter. ``distortion`` scales the geometric jitter:
-    1.0 lands classifier accuracy in the handwritten-digit regime, smaller
-    values give an easier, faster-converging task (used by test fixtures).
-    Purely deterministic under (n, seed, distortion).
+    blur and contrast jitter, sized so that classifier accuracy lands in
+    the handwritten-digit regime. Purely deterministic under (n, seed).
     """
     if n < 0:
         raise ConfigError(f"cannot make {n} synthetic digits")
@@ -347,13 +342,12 @@ def synthetic_mnist(n, seed, distortion=1.0):
     labels = rng.integers(0, 10, size=n)
     grid = np.stack(np.meshgrid(np.arange(28.0), np.arange(28.0), indexing="ij"))
     center = 13.5
-    d = float(distortion)
     images = np.empty((n, 28, 28), dtype=np.float32)
     for i in range(n):
-        theta = rng.uniform(-0.22, 0.22) * d
-        sy, sx = np.exp(rng.uniform(-0.18, 0.14, size=2) * d)
-        shear = rng.uniform(-0.25, 0.25) * d
-        ty, tx = rng.uniform(-2.0, 2.0, size=2) * d
+        theta = rng.uniform(-0.22, 0.22)
+        sy, sx = np.exp(rng.uniform(-0.18, 0.14, size=2))
+        shear = rng.uniform(-0.25, 0.25)
+        ty, tx = rng.uniform(-2.0, 2.0, size=2)
         c, s = np.cos(theta), np.sin(theta)
         fwd = np.array([[c, -s], [s, c]]) @ np.array([[sy, shear], [0.0, sx]])
         inv = np.linalg.inv(fwd)
@@ -364,7 +358,7 @@ def synthetic_mnist(n, seed, distortion=1.0):
         disp = rng.uniform(-1.0, 1.0, size=(2, 28, 28))
         for axis in range(2):
             disp[axis] = ndimage.gaussian_filter(disp[axis], sigma=3.0)
-        src += disp * rng.uniform(18.0, 34.0) * d
+        src += disp * rng.uniform(18.0, 34.0)
         img = ndimage.map_coordinates(templates[labels[i]], src, order=1, mode="constant")
         img = ndimage.gaussian_filter(img, sigma=rng.uniform(0.3, 0.8))
         img = np.clip(img * rng.uniform(0.75, 1.25), 0.0, 1.0)

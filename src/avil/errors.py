@@ -1,5 +1,5 @@
-"""The one error type for invalid configuration, shared by every module."""
+"""The one error type for bad input from outside, shared by every module."""
 
 
 class ConfigError(ValueError):
-    """Invalid model, data, optimizer or run configuration."""
+    """Invalid settings, config file, data, cache or checkpoint file, or run directory."""

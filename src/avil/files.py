@@ -1,10 +1,35 @@
-"""Whole-file writes that never leave a partial file under the final name."""
+"""File I/O shared by every reader and writer.
+
+``read_exact`` is the one size-checked read behind the IDX, cache and
+checkpoint readers. ``replace_atomically`` is the one whole-file write: it
+never leaves a partial file under the final name.
+"""
 
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager
 from pathlib import Path
+
+from .errors import ConfigError
+
+
+def read_exact(fh, count, path):
+    """The next ``count`` bytes of the seekable binary file ``fh``.
+
+    ``count`` is compared with the bytes left before anything is read, so a
+    corrupt size in a header fails without reading or allocating that size.
+    A short file is a ConfigError naming ``path``, the offset where the file
+    ends and the offset of the field that was wanted.
+    """
+    offset = fh.tell()
+    end = fh.seek(0, os.SEEK_END)
+    fh.seek(offset)
+    if count > end - offset:
+        raise ConfigError(
+            f"{path}: truncated at offset {end} ({count} bytes wanted from offset {offset}, {end - offset} left)"
+        )
+    return fh.read(count)
 
 
 @contextmanager

@@ -43,10 +43,6 @@ from .model import build_model, save_checkpoint
 from .weighting import NanLossError
 
 
-class ReportError(RuntimeError):
-    pass
-
-
 DESK_TRAIN_SUBSET = 10_000
 DEV_SIZE = 10_000
 METHODS = ("singletask", "multitask", "diw", "avil")
@@ -471,16 +467,16 @@ def report(run_dir):
     """Comparison table across finished runs plus per-run alpha/weight CSVs.
 
     Returns the table text. Run subdirectories without a summary are listed
-    as incomplete; an empty directory is an error.
+    as incomplete; a missing directory or one without runs is a ConfigError.
     """
     run_dir = Path(run_dir)
     if not run_dir.is_dir():
-        raise ReportError(f"no runs found: {run_dir} is not a directory")
+        raise ConfigError(f"no runs found: {run_dir} is not a directory")
     subdirs = sorted(p for p in run_dir.iterdir() if p.is_dir())
     complete = [p for p in subdirs if (p / "summary.csv").exists()]
     incomplete = [p.name for p in subdirs if not (p / "summary.csv").exists()]
     if not complete:
-        raise ReportError(f"no runs found under {run_dir}")
+        raise ConfigError(f"no runs found under {run_dir}")
     lines = []
     comparison_rows = []
     header = f"{'run':<18} {'task':<6} {'split':<5} {'min':>8} {'max':>8} {'mean':>8} {'std':>7}"

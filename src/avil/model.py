@@ -8,8 +8,9 @@ task. 28x28 input gives 24 -> 12 -> 8 -> 4 spatial sizes, hence the 320
 Parameters are exposed as a flat "parameter vector" in a canonical fixed
 order: encoder parameters first (conv1 w/b, conv2 w/b, fc w/b), then each
 head's w/b with heads sorted by task id. Deltas, snapshots and mixed
-updates therefore always align. Snapshot/restore round-trips are
-bit-exact.
+updates therefore always align. Each parameter's data is a view of one
+vector in that order, so a snapshot is one copy and a restore one
+overwrite; round-trips are bit-exact.
 
 Initialization is uniform in +/- 1/sqrt(fan_in) per layer, drawn from a
 seeded generator in canonical parameter order; the scheme is a local
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError
-from .files import replace_atomically
+from .files import read_exact, replace_atomically
 
 ENCODER_SHAPES = (
     ("conv1_w", (10, 1, 5, 5)),
@@ -72,38 +73,37 @@ class MultiHeadModel:
         self.seed = int(seed)
         self.dtype = np.dtype(dtype)
         rng = np.random.default_rng(self.seed)
-        self._encoder = {}
-        fan = None
-        for name, shape in ENCODER_SHAPES:
-            fan = _fan_in(shape) or fan
-            self._encoder[name] = self._init_param(rng, shape, fan)
-        self._heads = {}
-        for tid in self.task_ids:
-            head = {}
-            fan = None
-            for name, shape in HEAD_SHAPES:
-                fan = _fan_in(shape) or fan
-                head[name] = self._init_param(rng, shape, fan)
-            self._heads[tid] = head
-        expected = ENCODER_PARAMS + HEAD_PARAMS * len(self.task_ids)
-        if self.param_count != expected:
-            raise RuntimeError(f"model has {self.param_count} parameters, expected {expected}")
+        self._flat = np.empty(ENCODER_PARAMS + HEAD_PARAMS * len(self.task_ids), dtype=self.dtype)
+        self._params = []
+        self._encoder = self._init_params(rng, ENCODER_SHAPES)
+        self._heads = {tid: self._init_params(rng, HEAD_SHAPES) for tid in self.task_ids}
+        filled = sum(p.data.size for p in self._params)
+        if filled != self._flat.size:
+            raise RuntimeError(f"model has {filled} parameters, expected {self._flat.size}")
 
-    def _init_param(self, rng, shape, fan_in):
-        bound = 1.0 / np.sqrt(fan_in)
-        data = rng.uniform(-bound, bound, size=shape).astype(self.dtype)
-        return ad.Tensor(data, tracked=True)
+    def _init_params(self, rng, shapes):
+        """One layer group's tensors, each a view of the next span of ``_flat``."""
+        group = {}
+        fan = None
+        start = sum(p.data.size for p in self._params)
+        for name, shape in shapes:
+            fan = _fan_in(shape) or fan
+            size = int(np.prod(shape))
+            data = self._flat[start : start + size].reshape(shape)
+            start += size
+            bound = 1.0 / np.sqrt(fan)
+            data[...] = rng.uniform(-bound, bound, size=shape)
+            group[name] = ad.Tensor(data, tracked=True)
+            self._params.append(group[name])
+        return group
 
     def parameters(self):
         """Parameter tensors in canonical order."""
-        out = [self._encoder[name] for name, _ in ENCODER_SHAPES]
-        for tid in self.task_ids:
-            out.extend(self._heads[tid][name] for name, _ in HEAD_SHAPES)
-        return out
+        return self._params
 
     @property
     def param_count(self):
-        return sum(p.data.size for p in self.parameters())
+        return self._flat.size
 
     def head(self, task):
         try:
@@ -134,21 +134,18 @@ class MultiHeadModel:
 
     def snapshot(self):
         """Copy of all parameters as one flat vector in canonical order."""
-        return np.concatenate([p.data.reshape(-1) for p in self.parameters()]).astype(self.dtype, copy=False)
+        return self._flat.copy()
 
     def restore(self, values):
         """Overwrite all parameters from a flat vector; clears stale grads."""
         values = np.asarray(values)
-        if values.shape != (self.param_count,):
+        if values.shape != self._flat.shape:
             raise ConfigError(
                 f"parameter vector of length {values.size} does not match model ({self.param_count})"
             )
-        pos = 0
-        for p in self.parameters():
-            n = p.data.size
-            np.copyto(p.data, values[pos : pos + n].reshape(p.data.shape), casting="unsafe")
+        np.copyto(self._flat, values, casting="unsafe")
+        for p in self._params:
             p.grad = None
-            pos += n
 
     def gradient_vector(self):
         """Flat gradient in canonical order; zeros where no grad flowed."""
@@ -199,29 +196,25 @@ def save_checkpoint(path, values, task_ids):
         fh.write(values.tobytes())
 
 
-def _read_exact(fh, count, path):
-    offset = fh.tell()
-    raw = fh.read(count)
-    if len(raw) != count:
-        raise ConfigError(f"{path}: truncated checkpoint at offset {offset} ({len(raw)} of {count} bytes)")
-    return raw
-
-
 def load_checkpoint(path):
-    """Read a checkpoint; returns (values float64, task_ids)."""
+    """Read a checkpoint; returns (values float64, task_ids).
+
+    A bad magic or version, or a file shorter than its header implies, is a
+    ConfigError.
+    """
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, path)
+        magic = read_exact(fh, 4, path)
         if magic != CHECKPOINT_MAGIC:
             raise ConfigError(f"{path}: bad checkpoint magic {magic!r}")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4, path))
+        (version,) = struct.unpack("<I", read_exact(fh, 4, path))
         if version != CHECKPOINT_VERSION:
             raise ConfigError(f"{path}: unsupported checkpoint version {version}")
-        (count,) = struct.unpack("<Q", _read_exact(fh, 8, path))
-        (ntasks,) = struct.unpack("<I", _read_exact(fh, 4, path))
+        (count,) = struct.unpack("<Q", read_exact(fh, 8, path))
+        (ntasks,) = struct.unpack("<I", read_exact(fh, 4, path))
         task_ids = []
         for _ in range(ntasks):
-            (ln,) = struct.unpack("<I", _read_exact(fh, 4, path))
-            task_ids.append(_read_exact(fh, ln, path).decode("utf-8"))
-        raw = _read_exact(fh, count * 8, path)
+            (ln,) = struct.unpack("<I", read_exact(fh, 4, path))
+            task_ids.append(read_exact(fh, ln, path).decode("utf-8"))
+        raw = read_exact(fh, count * 8, path)
         values = np.frombuffer(raw, dtype="<f8").copy()
     return values, task_ids

@@ -1,4 +1,5 @@
 import gzip
+import re
 import struct
 from pathlib import Path
 
@@ -8,7 +9,6 @@ import pytest
 from avil import data as datamod
 from avil.data import (
     ConfigError,
-    IdxFormatError,
     MultiMnistSet,
     batches,
     bilinear_resize,
@@ -70,7 +70,7 @@ class TestLoadIdx:
         img_path.write_bytes(struct.pack(">IIII", 0x00000801, 1, 28, 28) + bytes(784))
         lbl_path = tmp_path / "labels"
         lbl_path.write_bytes(struct.pack(">II", 0x00000801, 1) + bytes(1))
-        with pytest.raises(IdxFormatError, match="magic 0x00000801"):
+        with pytest.raises(ConfigError, match="magic 0x00000801"):
             load_idx(img_path, lbl_path)
 
     def test_truncated_image_payload_reports_offset(self, tmp_path):
@@ -78,14 +78,31 @@ class TestLoadIdx:
         img_path.write_bytes(struct.pack(">IIII", 0x00000803, 2, 28, 28) + bytes(784))
         lbl_path = tmp_path / "labels"
         lbl_path.write_bytes(struct.pack(">II", 0x00000801, 2) + bytes(2))
-        with pytest.raises(IdxFormatError, match="truncated at offset 800"):
+        with pytest.raises(ConfigError, match="truncated at offset 800"):
+            load_idx(img_path, lbl_path)
+
+    # the size overflows an index, so a reader that trusts it fails with OverflowError
+    @pytest.mark.parametrize("gzipped", [False, True])
+    def test_a_header_size_beyond_the_file_is_checked_before_reading(self, tmp_path, gzipped):
+        img_path, lbl_path = write_idx_pair(tmp_path, np.zeros((1, 28, 28)), [0], gzipped=gzipped)
+        with (gzip.open if gzipped else open)(img_path, "wb") as fh:
+            fh.write(struct.pack(">IIII", 0x00000803, 2**32 - 1, 65535, 65535) + bytes(784))
+        wanted = (2**32 - 1) * 65535 * 65535
+        expected = f"{img_path}: truncated at offset 800 ({wanted} bytes wanted from offset 16, 784 left)"
+        with pytest.raises(ConfigError, match=re.escape(expected)):
+            load_idx(img_path, lbl_path)
+
+    def test_a_cut_gzip_file_is_a_config_error(self, tmp_path, rng):
+        img_path, lbl_path = write_idx_pair(tmp_path, rng.integers(0, 256, (4, 28, 28)), [0] * 4, gzipped=True)
+        img_path.write_bytes(img_path.read_bytes()[:-10])  # the trailer and the end of the stream
+        with pytest.raises(ConfigError, match=re.escape(f"{img_path}: bad gzip data")):
             load_idx(img_path, lbl_path)
 
     def test_count_mismatch_between_files(self, tmp_path, rng):
         img_path, _ = write_idx_pair(tmp_path, rng.integers(0, 255, (3, 28, 28)), [0, 1, 2])
         lbl_path = tmp_path / "other-labels"
         lbl_path.write_bytes(struct.pack(">II", 0x00000801, 2) + bytes(2))
-        with pytest.raises(IdxFormatError, match="3 images but .* 2 labels"):
+        with pytest.raises(ConfigError, match="3 images but .* 2 labels"):
             load_idx(img_path, lbl_path)
 
     @pytest.mark.skipif(not HAVE_OFFICIAL, reason="official IDX files not present")
@@ -275,7 +292,7 @@ class TestCache:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.mm01"
         path.write_bytes(b"XXXX" + bytes(32))
-        with pytest.raises(IdxFormatError, match="magic"):
+        with pytest.raises(ConfigError, match="magic"):
             load_cache(path, split="train")
 
     # inside the magic, after it, inside the example count, after it
@@ -285,7 +302,14 @@ class TestCache:
         path = tmp_path / "cache.mm01"
         save_cache(ds, path)
         path.write_bytes(path.read_bytes()[:cut])
-        with pytest.raises(IdxFormatError, match=f"truncated at offset {cut} "):
+        with pytest.raises(ConfigError, match=f"truncated at offset {cut} "):
+            load_cache(path, split="train")
+
+    def test_an_example_count_beyond_the_file_is_checked_before_reading(self, tmp_path):
+        path = tmp_path / "cache.mm01"
+        path.write_bytes(b"MM01" + struct.pack("<Q", 2**62) + bytes(64))
+        expected = f"{path}: truncated at offset 76 ({2**62 * 28 * 28 * 4} bytes wanted from offset 12, 64 left)"
+        with pytest.raises(ConfigError, match=re.escape(expected)):
             load_cache(path, split="train")
 
 

@@ -1,3 +1,6 @@
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -94,6 +97,23 @@ class TestForward:
 
 
 class TestSnapshotRestore:
+    def test_snapshot_is_a_copy_of_the_parameters_in_canonical_order(self):
+        model = build_model(["tl", "br"], seed=9)
+        snap = model.snapshot()
+        np.testing.assert_array_equal(snap, np.concatenate([p.data.ravel() for p in model.parameters()]))
+        snap[:] = 0.0
+        assert np.any(model.snapshot() != 0.0)
+
+    def test_restore_clears_every_gradient(self, rng):
+        model = build_model(["tl", "br"], seed=9)
+        with ad.Tape():
+            feats = model.features(rng.uniform(size=(2, 1, 28, 28)))
+            loss = ad.add(*(ad.cross_entropy_mean(model.head_logits(feats, t), np.arange(2)) for t in ("tl", "br")))
+            ad.backward(loss)
+        assert all(p.grad is not None for p in model.parameters())
+        model.restore(model.snapshot())
+        assert all(p.grad is None for p in model.parameters())
+
     def test_round_trip_is_bit_identical(self, rng):
         model = build_model(["tl", "br"], seed=9)
         snap = model.snapshot()
@@ -186,7 +206,17 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, model.snapshot(), model.task_ids)
         path.write_bytes(path.read_bytes()[:cut])
-        with pytest.raises(ConfigError, match=f"truncated checkpoint at offset {field_start} "):
+        with pytest.raises(ConfigError, match=rf"truncated at offset {cut} \(\d+ bytes wanted from offset {field_start},"):
+            load_checkpoint(path)
+
+    def test_a_value_count_beyond_the_file_is_checked_before_reading(self, tmp_path):
+        model = build_model(["tl"], seed=1)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model.snapshot(), model.task_ids)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:8] + struct.pack("<Q", 2**62) + raw[16:])  # values start at offset 26
+        expected = f"{path}: truncated at offset {len(raw)} ({2**62 * 8} bytes wanted from offset 26, {len(raw) - 26} left)"
+        with pytest.raises(ConfigError, match=re.escape(expected)):
             load_checkpoint(path)
 
     def test_truncation_rejected(self, tmp_path):

@@ -3,6 +3,7 @@ configuration, and the command line's handling of bad configuration."""
 
 import platform
 import resource
+import struct
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -276,15 +277,51 @@ def test_an_out_dir_under_a_regular_file_fails_before_data_is_built(tmp_path, ca
     assert "Not a directory" in config_error(tmp_path, capsys, f"out.dir={tmp_path / 'plain' / 'runs'}\n")
 
 
-def test_a_cache_cut_inside_its_header_is_a_cli_error(tmp_path, capsys):
+def generated_train_cache(tmp_path):
+    """The train file of a generated cache pair under ``tmp_path/cache``."""
     cache = tmp_path / "cache"
     assert cli.main(["generate", "--synthetic", "30", "--synthetic-test", "10", "--pair-seed", "7",
                      "--out", str(cache)]) == 0
-    train = cache / data.cache_name("train", 7)
+    return cache / data.cache_name("train", 7)
+
+
+def test_a_cache_cut_inside_its_header_is_a_cli_error(tmp_path, capsys):
+    train = generated_train_cache(tmp_path)
     train.write_bytes(train.read_bytes()[:8])  # inside the example count
     # data.source=auto prefers the cache files
-    line = config_error(tmp_path, capsys, f"data.source=auto\ndata.dir={cache}\n")
+    line = config_error(tmp_path, capsys, f"data.source=auto\ndata.dir={train.parent}\n")
     assert "truncated at offset 8" in line
+
+
+def test_a_cache_count_beyond_the_file_is_a_cli_error(tmp_path, capsys):
+    train = generated_train_cache(tmp_path)
+    raw = train.read_bytes()
+    train.write_bytes(raw[:4] + struct.pack("<Q", 2**62) + raw[12:])
+    line = config_error(tmp_path, capsys, f"data.source=auto\ndata.dir={train.parent}\n")
+    assert f"{train}: truncated at offset {len(raw)} ({2**62 * 3136} bytes wanted from offset 12," in line
+
+
+def write_idx_dir(directory, counts):
+    """Blank `train` and `t10k` IDX pairs of ``counts`` images under ``directory``."""
+    for prefix, n in zip(("train", "t10k"), counts):
+        images, labels = write_idx_pair(directory, np.zeros((n, 28, 28)), np.arange(n))
+        images.rename(directory / f"{prefix}-images-idx3-ubyte")
+        labels.rename(directory / f"{prefix}-labels-idx1-ubyte")
+
+
+def test_generate_checks_the_idx_image_counts(tmp_path, capsys):
+    write_idx_dir(tmp_path, (3, 3))
+    line = cli_error(capsys, ["generate", "--mnist-dir", str(tmp_path), "--out", str(tmp_path / "cache")])
+    assert "train pool has 3 images, expected 60000" in line
+    assert not (tmp_path / "cache").exists()
+
+
+@pytest.mark.parametrize("make", [False, True])
+def test_report_without_runs_is_a_cli_error(tmp_path, capsys, make):
+    run_dir = tmp_path / "runs"
+    if make:
+        run_dir.mkdir()
+    assert "no runs found" in cli_error(capsys, ["report", "--run-dir", str(run_dir)])
 
 
 @pytest.mark.parametrize("method", ["singletask", "avil"])
@@ -322,10 +359,7 @@ def test_keeping_the_heap_resident_is_a_silent_no_op_without_mallopt(monkeypatch
 
 
 def test_idx_source_with_wrong_image_counts_is_an_error(tmp_path):
-    for prefix, n in (("train", 3), ("t10k", 2)):
-        images, labels = write_idx_pair(tmp_path, np.zeros((n, 28, 28)), np.arange(n))
-        images.rename(tmp_path / f"{prefix}-images-idx3-ubyte")
-        labels.rename(tmp_path / f"{prefix}-labels-idx1-ubyte")
+    write_idx_dir(tmp_path, (3, 2))
     config = replace(TINY, data_source="idx", data_dir=str(tmp_path))
     with pytest.raises(harness.ConfigError, match="3 images, expected 60000"):
         harness.load_pools(config)
