@@ -14,7 +14,11 @@ A deterministic synthetic digit source (`synthetic_mnist`) is provided as a
 configuration-visible alternative for environments without the standard IDX
 files; it renders seeded glyphs with random affine + elastic deformation,
 blur and contrast jitter so that classifier accuracies land in the same
-regime as on handwritten digits.
+regime as on handwritten digits. It renders 128 digits per batch (one
+block of draws, one displacement blur, one warp per digit class, one
+per-image blur that reproduces scipy's ``gaussian_filter`` exactly), so
+its output equals an image-at-a-time rendering byte for byte while peak
+memory stays that of one batch.
 """
 
 from __future__ import annotations
@@ -43,7 +47,11 @@ IDX_LABELS_MAGIC = 0x00000801
 
 @dataclass
 class MultiMnistSet:
-    """Images [n,1,28,28] in [0,1] with one class-label vector per task."""
+    """Images [n,1,28,28] in [0,1] with one class-label vector per task.
+
+    A label vector of the wrong length or with a label outside 0-9 is a
+    ConfigError naming the split and the task.
+    """
 
     images: np.ndarray
     labels: dict
@@ -57,6 +65,9 @@ class MultiMnistSet:
                 raise ConfigError(
                     f"{self.split} labels of task {task!r} have shape {y.shape}, expected ({len(self.images)},)"
                 )
+            bad = y[(y < 0) | (y > 9)]
+            if bad.size:
+                raise ConfigError(f"{self.split} labels of task {task!r} must be digits 0-9, got {bad[0]}")
 
     def __len__(self):
         return self.images.shape[0]
@@ -327,6 +338,24 @@ def _digit_templates():
     return templates
 
 
+# One image's uniform draws as (low, high) bounds, in the order the generator
+# takes them from its stream.
+_DRAW_LOW, _DRAW_HIGH = np.ascontiguousarray(np.array(
+    [(-0.22, 0.22)]  # rotation angle
+    + [(-0.18, 0.14)] * 2  # log-scales y, x
+    + [(-0.25, 0.25)]  # shear
+    + [(-2.0, 2.0)] * 2  # translation y, x
+    + [(-1.0, 1.0)] * (2 * 28 * 28)  # displacement field [2, 28, 28]
+    + [(18.0, 34.0), (0.3, 0.8), (0.75, 1.25)]  # displacement strength, blur sigma, contrast
+).T)
+_DRAW_SPAN = _DRAW_HIGH - _DRAW_LOW
+# Images rendered per batch. The draws, sample coordinates and displacement
+# field of a whole set would take several times the float32 result (about
+# 60 MiB of temporaries for 1000 digits); a chunk of 128 holds them to about
+# 8 MiB whatever the set size.
+_CHUNK = 128
+
+
 def synthetic_mnist(n, seed):
     """Seeded digit images [n,28,28] float32 in [0,1] plus labels [n].
 
@@ -334,33 +363,94 @@ def synthetic_mnist(n, seed):
     shear, translation) composed with an elastic displacement field, then
     blur and contrast jitter, sized so that classifier accuracy lands in
     the handwritten-digit regime. Purely deterministic under (n, seed).
+
+    Draw order: all n labels first, then per image 1577 uniforms in the
+    order of ``_DRAW_LOW``: rotation, two log-scales, shear, translation,
+    the 2x28x28 displacement field, its strength, blur sigma, contrast.
+    Images are rendered in chunks of ``_CHUNK`` (128), which bounds peak
+    memory. A chunk's draws are one ``rng.random`` block scaled as
+    ``low + (high - low) * u``, the arithmetic of numpy's ``uniform``, so
+    stream and values equal one ``uniform`` call per quantity per image.
+    The per-image blur mirrors scipy's ``gaussian_filter`` bit for bit
+    (``_gaussian_blur``), so no output depends on the chunk size.
     """
     if n < 0:
         raise ConfigError(f"cannot make {n} synthetic digits")
     rng = _rng(seed, "synthetic")
-    templates = _digit_templates()
     labels = rng.integers(0, 10, size=n)
+    images = np.empty((n, 28, 28), dtype=np.float32)
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        draws = rng.random((hi - lo, _DRAW_LOW.size))
+        draws *= _DRAW_SPAN  # low + (high - low) * u, numpy's own uniform arithmetic
+        draws += _DRAW_LOW
+        images[lo:hi] = _render_digits(labels[lo:hi], draws)
+    return images, labels.astype(np.int64)
+
+
+def _render_digits(labels, draws):
+    """Warped, blurred, contrast-jittered templates [m,28,28] float64 for one chunk."""
+    m = len(labels)
+    # contiguous, so exp/cos/sin take the same loop as on one image's values
+    theta = np.ascontiguousarray(draws[:, 0])
+    sy, sx = np.exp(np.ascontiguousarray(draws[:, 1:3].T))
+    c, s = np.cos(theta), np.sin(theta)
+    rot = np.stack([c, -s, s, c], axis=1).reshape(m, 2, 2)
+    scale = np.stack([sy, draws[:, 3], np.zeros(m), sx], axis=1).reshape(m, 2, 2)
+    inv = np.linalg.inv(rot @ scale)
     grid = np.stack(np.meshgrid(np.arange(28.0), np.arange(28.0), indexing="ij"))
     center = 13.5
-    images = np.empty((n, 28, 28), dtype=np.float32)
-    for i in range(n):
-        theta = rng.uniform(-0.22, 0.22)
-        sy, sx = np.exp(rng.uniform(-0.18, 0.14, size=2))
-        shear = rng.uniform(-0.25, 0.25)
-        ty, tx = rng.uniform(-2.0, 2.0, size=2)
-        c, s = np.cos(theta), np.sin(theta)
-        fwd = np.array([[c, -s], [s, c]]) @ np.array([[sy, shear], [0.0, sx]])
-        inv = np.linalg.inv(fwd)
-        rel = grid - center
-        src = np.tensordot(inv, rel, axes=1) + center
-        src[0] -= ty
-        src[1] -= tx
-        disp = rng.uniform(-1.0, 1.0, size=(2, 28, 28))
-        for axis in range(2):
-            disp[axis] = ndimage.gaussian_filter(disp[axis], sigma=3.0)
-        src += disp * rng.uniform(18.0, 34.0)
-        img = ndimage.map_coordinates(templates[labels[i]], src, order=1, mode="constant")
-        img = ndimage.gaussian_filter(img, sigma=rng.uniform(0.3, 0.8))
-        img = np.clip(img * rng.uniform(0.75, 1.25), 0.0, 1.0)
-        images[i] = img
-    return images, labels.astype(np.int64)
+    src = (inv @ (grid - center).reshape(2, 28 * 28)).reshape(m, 2, 28, 28)
+    src += center
+    src -= draws[:, 4:6, None, None]
+    disp = ndimage.gaussian_filter(draws[:, 6:-3].reshape(m, 2, 28, 28), sigma=(0, 0, 3.0, 3.0))
+    disp *= draws[:, -3, None, None, None]
+    src += disp
+    warped = np.empty((m, 28, 28))
+    templates = _digit_templates()
+    for digit in np.unique(labels):
+        idx = np.flatnonzero(labels == digit)
+        coords = src[idx].transpose(1, 0, 2, 3)
+        warped[idx] = ndimage.map_coordinates(templates[digit], coords, order=1, mode="constant")
+    blurred = _gaussian_blur(warped, draws[:, -2])
+    return np.clip(blurred * draws[:, -1, None, None], 0.0, 1.0)
+
+
+def _gaussian_blur(batch, sigmas):
+    """``ndimage.gaussian_filter(batch[i], sigmas[i])`` for each image, bit for bit.
+
+    Mirrors scipy's default (truncate 4, ``reflect`` borders) and its
+    symmetric-kernel ``correlate1d``: the kernel radius is
+    ``int(4 * sigma + 0.5)``, the weights are ``exp(-x^2 / 2 sigma^2)``
+    over their sum, and each output is the centre term plus the pairs
+    ``(left + right) * weight`` from the outermost inward, axis 0 then
+    axis 1. Images sharing a radius are filtered together.
+    """
+    out = np.empty_like(batch)
+    radii = (4.0 * sigmas + 0.5).astype(np.int64)
+    for r in np.unique(radii):
+        idx = np.flatnonzero(radii == r)
+        sig = sigmas[idx]
+        x = np.arange(-r, r + 1)
+        phi = np.exp((-0.5 / (sig * sig))[:, None] * x**2)
+        weights = (phi / phi.sum(axis=1, keepdims=True))[:, r:, None, None]  # centre, then offsets 1..r
+        img = batch[idx].swapaxes(1, 2)
+        img = _correlate_last_axis(img, weights, r).swapaxes(1, 2)  # image axis 0
+        out[idx] = _correlate_last_axis(img, weights, r)  # image axis 1
+    return out
+
+
+def _correlate_last_axis(batch, weights, r):
+    """scipy's symmetric ``correlate1d`` along the last axis, ``reflect`` borders."""
+    k, rows, n = batch.shape
+    padded = np.empty((k, rows, n + 2 * r), dtype=batch.dtype)
+    padded[..., r : r + n] = batch
+    padded[..., :r] = batch[..., :r][..., ::-1]  # c b a | a b c ... x y z | z y x
+    padded[..., r + n :] = batch[..., n - r :][..., ::-1]
+    out = padded[..., r : r + n] * weights[:, 0]
+    pair = np.empty_like(out)
+    for j in range(r, 0, -1):
+        np.add(padded[..., r - j : r - j + n], padded[..., r + j : r + j + n], out=pair)
+        pair *= weights[:, j]
+        out += pair
+    return out

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import re
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -224,7 +225,9 @@ def load_pools(config):
     """(train pool, test set) according to the configured data source.
 
     ``auto`` prefers cached generated files, then raw IDX files, then the
-    synthetic source.
+    synthetic source. It is a ConfigError for ``auto`` to fall through to
+    the synthetic source while ``data_dir`` holds caches of other pair
+    seeds only: the configured ``pair_seed`` is then most likely wrong.
     """
     directory = Path(config.data_dir)
     source = config.data_source
@@ -238,6 +241,7 @@ def load_pools(config):
                 datamod.find_idx_pair(directory, "train")
                 source = "idx"
             except FileNotFoundError:
+                _check_no_other_caches(directory, config.pair_seed)
                 source = "synthetic"
     if source == "cache":
         return (
@@ -265,6 +269,20 @@ def load_pools(config):
             datamod.make_multimnist(test_images, test_labels, config.pair_seed, split="test"),
         )
     raise ConfigError(f"unknown data source {source!r}")
+
+
+def _check_no_other_caches(directory, pair_seed):
+    found = {
+        int(match[1])
+        for path in directory.glob("multimnist_*_p*.mm01")
+        if (match := re.fullmatch(r"multimnist_(?:train|test)_p(-?\d+)\.mm01", path.name))
+    }
+    if found and pair_seed not in found:
+        raise ConfigError(
+            f"{directory} holds caches for pair seed(s) {', '.join(map(str, sorted(found)))} "
+            f"but none for data.pair_seed={pair_seed}; set data.pair_seed to one of them, "
+            f"or data.source=synthetic to build synthetic digits"
+        )
 
 
 def seed_datasets(config, train_pool, seed):
@@ -344,12 +362,14 @@ def write_summary_csv(path, rows):
             ]))
 
 
+_AGGREGATE_COLUMNS = ("task", "split", "n_seeds", "n_failed", "min", "max", "mean", "std_pop")
+
+
 def write_aggregate_csv(path, summary_rows):
     """Aggregates over successful seeds; failures are counted, not imputed."""
-    header = ["task", "split", "n_seeds", "n_failed", "min", "max", "mean", "std_pop"]
     tasks = sorted({row["task"] for row in summary_rows})
     with replace_atomically(path) as fh:
-        fh.write(_row_csv(header))
+        fh.write(_row_csv(_AGGREGATE_COLUMNS))
         for task in tasks:
             ok = [r for r in summary_rows if r["task"] == task and r["status"] == "ok"]
             failed = [r for r in summary_rows if r["task"] == task and r["status"] != "ok"]
@@ -457,17 +477,31 @@ def run_experiment(config, pools=None):
 # reporting
 
 
-def _read_csv(path):
+def _read_csv(path, columns):
+    """Rows as dicts; a file without a header, without one of ``columns``
+    or with a row of the wrong length is a ConfigError naming the file."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
+    if not lines:
+        raise ConfigError(f"{path}: empty file, expected a header row")
     header = lines[0].split(",")
-    return [dict(zip(header, line.split(","))) for line in lines[1:]]
+    missing = [c for c in columns if c not in header]
+    if missing:
+        raise ConfigError(f"{path}: missing column(s) {', '.join(missing)}")
+    rows = []
+    for lineno, line in enumerate(lines[1:], 2):
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise ConfigError(f"{path}: line {lineno} has {len(cells)} cells, the header {len(header)}")
+        rows.append(dict(zip(header, cells)))
+    return rows
 
 
 def report(run_dir):
     """Comparison table across finished runs plus per-run alpha/weight CSVs.
 
     Returns the table text. Run subdirectories without a summary are listed
-    as incomplete; a missing directory or one without runs is a ConfigError.
+    as incomplete; a missing directory, one without runs, or a malformed
+    ``aggregate.csv`` or ``seed*.csv`` is a ConfigError.
     """
     run_dir = Path(run_dir)
     if not run_dir.is_dir():
@@ -483,7 +517,7 @@ def report(run_dir):
     lines.append(header)
     lines.append("-" * len(header))
     for path in complete:
-        for row in _read_csv(path / "aggregate.csv"):
+        for row in _read_csv(path / "aggregate.csv", _AGGREGATE_COLUMNS):
             comparison_rows.append({"run": path.name, **row})
             if row["mean"]:
                 lines.append(
@@ -496,12 +530,9 @@ def report(run_dir):
     if incomplete:
         lines.append("incomplete runs: " + ", ".join(incomplete))
     with replace_atomically(run_dir / "comparison.csv") as fh:
-        fh.write(_row_csv(["run", "task", "split", "n_seeds", "n_failed", "min", "max", "mean", "std_pop"]))
+        fh.write(_row_csv(["run", *_AGGREGATE_COLUMNS]))
         for row in comparison_rows:
-            fh.write(_row_csv([
-                row["run"], row["task"], row["split"], row["n_seeds"], row["n_failed"],
-                row["min"], row["max"], row["mean"], row["std_pop"],
-            ]))
+            fh.write(_row_csv([row["run"], *(row[c] for c in _AGGREGATE_COLUMNS)]))
     for path in complete:
         if not path.name.startswith("avil"):
             continue
@@ -509,9 +540,11 @@ def report(run_dir):
             fh.write(_row_csv(["seed", "epoch", "task", "alpha", "weight"]))
             for seed_csv in sorted(path.glob("seed*.csv")):
                 seed = seed_csv.stem.removeprefix("seed")
-                for row in _read_csv(seed_csv):
+                for row in _read_csv(seed_csv, ("epoch",)):
                     for key, value in row.items():
                         if key.startswith("alpha_") and value:
                             task = key.removeprefix("alpha_")
+                            if f"weight_{task}" not in row:
+                                raise ConfigError(f"{seed_csv}: missing column(s) weight_{task}")
                             fh.write(_row_csv([seed, row["epoch"], task, value, row[f"weight_{task}"]]))
     return "\n".join(lines)

@@ -1,10 +1,13 @@
 import gzip
+import hashlib
 import re
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from avil import data as datamod
 from avil.data import (
@@ -197,6 +200,15 @@ class TestMultiMnistSetShapes:
                 split="dev",
             )
 
+    @pytest.mark.parametrize("bad", [-1, 10, 255])
+    def test_a_label_outside_0_to_9_is_a_config_error(self, bad):
+        with pytest.raises(ConfigError, match=f"test labels of task 'br' must be digits 0-9, got {bad}$"):
+            MultiMnistSet(
+                images=np.zeros((3, 1, 28, 28)),
+                labels={"tl": np.array([0, 9, 5]), "br": np.array([9, bad, 0])},
+                split="test",
+            )
+
 
 class TestSplits:
     def test_sizes_and_disjointness(self, rng):
@@ -214,9 +226,9 @@ class TestSplits:
 
     def test_union_is_everything(self, rng):
         ds = _toy(80, rng)
-        ds.labels["tl"][:] = np.arange(80)  # identity tags to recover indices
+        ds.images[:, 0, 0, 0] = np.arange(80)  # identity tags to recover indices
         train, dev = split_dev(ds, 20, seed=1)
-        merged = np.sort(np.concatenate([train.labels["tl"], dev.labels["tl"]]))
+        merged = np.sort(np.concatenate([train.images[:, 0, 0, 0], dev.images[:, 0, 0, 0]]))
         np.testing.assert_array_equal(merged, np.arange(80))
 
     def test_oversized_dev_rejected(self, rng):
@@ -331,6 +343,66 @@ class TestSyntheticDigits:
     def test_digits_are_nonempty(self):
         images, _ = synthetic_mnist(32, seed=3)
         assert (images.reshape(32, -1).sum(axis=1) > 1.0).all()
+
+    # SHA-256 of the images' and labels' bytes as an image-at-a-time loop
+    # (one scipy gaussian_filter per image and displacement axis) made them:
+    # sizes around the 128-image chunk, for two seeds
+    @pytest.mark.parametrize(
+        "n, seed, images_sha, labels_sha",
+        [
+            (0, 3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+            (1, 3, "eb2c4ffbb031a34833f8b52b8eb2c5adc33ffb27da8a64a8b8e160f2998088b9",
+             "cbbd5f990c53684d7ae650b40fcb5656e02261b53da5f6a7d8c819c92f2828f8"),
+            (127, 3, "1918206597024b0905ac04c0723243661717bb7a7048f71df1f846e23decf14f",
+             "954be73cede31095711d500ca3511782446fa84f3d8156f79a7c1aa8ac53ff63"),
+            (128, 3, "1cd7513b98e74ae7630493abf542391d6804fa5b604ab6924f22aafed6dabb3f",
+             "f7a00dab1f978bc289e085723778bca2ac6519221b8057d610f6ecff40b2f891"),
+            (129, 3, "141c0f4b206c3323ae5099c8a305835d0d36343602b892e52cfd9d99872b4819",
+             "ef79924f9e694aa7d7a2b41753efadd952f626b134521ca2b73c82c9f972d718"),
+            (300, 3, "be630dcf73ca46ab9d01af4a8e4afdd3d6666e2d97eb4a18899c6ef69b434bb4",
+             "f1c9715fda5a44ee7f19a736ae72e58176ea794d7fa36fb3e2d2131e197a466c"),
+            (0, 1234, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+            (1, 1234, "6298793b1a5b5f56f5618de5c45b9c9fbdfc8d9d34a3e1ddd981cb0a54ccdac6",
+             "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc"),
+            (127, 1234, "877018a67e97988fec426d31e6afc42bc16c5f104b981e8467d7bdecf8f120c7",
+             "660b1dc09554a8e8817f0b5cf84623907033788f080d019c879fa33eeb94d883"),
+            (128, 1234, "95faf48ba45ef745f08d4d71f4353fbebf2316beeba4afbb3fc913e2da943055",
+             "8f9519c99ee06a5f3312e0f444032a46e9c410a4d066fb58d734ab3727a07b71"),
+            (129, 1234, "91233b50545b49caa2265aab1c13f659e608b58111d4d78fcc5150ce28b15433",
+             "8e7ba3002417807f8b80e9946938f123907bc49f6c09d33be8bca0a1e5fe13fd"),
+            (300, 1234, "f97b6783d877f1d618acb92ef1df5ade546f55ce348b91108872ec2eca5c840f",
+             "bc8b65425290e2aff4756cd75f39699da88334edcbb4ed6814d9b1e0b71442d7"),
+        ],
+    )
+    def test_bytes_equal_the_image_at_a_time_rendering(self, n, seed, images_sha, labels_sha):
+        images, labels = synthetic_mnist(n, seed)
+        assert (images.dtype, images.shape, labels.dtype) == (np.float32, (n, 28, 28), np.int64)
+        assert hashlib.sha256(images.tobytes()).hexdigest() == images_sha
+        assert hashlib.sha256(labels.tobytes()).hexdigest() == labels_sha
+
+    # each side of the kernel radius steps int(4 * sigma + 0.5) = 1 | 2 | 3
+    @pytest.mark.parametrize("sigma", [0.3, 0.3749, 0.375, 0.6249, 0.625, 0.8])
+    def test_blur_equals_scipy_bit_for_bit(self, rng, sigma):
+        batch = rng.uniform(size=(5, 28, 28))
+        batch[0, :, :3] = 0.0  # a dark border, as the templates have
+        sigmas = np.array([sigma, 0.3, sigma, 0.8, sigma])  # groups by radius
+        blurred = datamod._gaussian_blur(batch, sigmas)
+        for image, s, out in zip(batch, sigmas, blurred):
+            assert out.tobytes() == ndimage.gaussian_filter(image, sigma=s).tobytes()
+
+    def test_transient_memory_stays_that_of_one_chunk(self):
+        synthetic_mnist(1, seed=0)  # templates and scipy's module state
+        tracemalloc.start()
+        try:
+            images, labels = synthetic_mnist(1000, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # about 8 MiB in chunks of 128; 62 MiB rendered all at once, 16 MiB
+        # in chunks of 256
+        assert peak - images.nbytes - labels.nbytes < 12 * 2**20
 
 
 def _toy(n, rng):

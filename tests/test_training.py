@@ -142,14 +142,8 @@ def test_an_interrupted_cache_write_keeps_the_previous_cache(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
-@pytest.mark.parametrize(
-    "broken, text",
-    [
-        ("aggregate.csv", "task,split,mean\ntl,test,\n"),  # comparison.csv fails after its header
-        ("seed1.csv", "epoch,alpha_tl\n1,0.5\n"),  # alpha_long.csv fails: no weight column
-    ],
-)
-def test_a_report_that_raises_mid_file_keeps_the_previous_files(tmp_path, broken, text):
+def write_report_inputs(tmp_path):
+    """A finished one-seed ``avil-tl`` run directory under ``tmp_path``."""
     run = tmp_path / "avil-tl"
     run.mkdir()
     inputs = {
@@ -159,11 +153,23 @@ def test_a_report_that_raises_mid_file_keeps_the_previous_files(tmp_path, broken
     }
     for name, content in inputs.items():
         (run / name).write_text(content, encoding="utf-8")
+    return run
+
+
+@pytest.mark.parametrize(
+    "broken, text",
+    [
+        ("aggregate.csv", "task,split,mean\ntl,test,\n"),  # fails before comparison.csv: missing columns
+        ("seed1.csv", "epoch,alpha_tl\n1,0.5\n"),  # alpha_long.csv fails after its header: no weight column
+    ],
+)
+def test_a_report_that_raises_mid_file_keeps_the_previous_files(tmp_path, broken, text):
+    run = write_report_inputs(tmp_path)
     harness.report(tmp_path)
     written = (tmp_path / "comparison.csv", run / "alpha_long.csv")
     before = [p.read_bytes() for p in written]
     (run / broken).write_text(text, encoding="utf-8")
-    with pytest.raises(KeyError):
+    with pytest.raises(harness.ConfigError, match=f"{run / broken}: missing column"):
         harness.report(tmp_path)
     assert [p.read_bytes() for p in written] == before
     assert list(tmp_path.rglob("*.tmp")) == []
@@ -322,6 +328,40 @@ def test_report_without_runs_is_a_cli_error(tmp_path, capsys, make):
     if make:
         run_dir.mkdir()
     assert "no runs found" in cli_error(capsys, ["report", "--run-dir", str(run_dir)])
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("task,split\ntl,test\n", "missing column(s) n_seeds, n_failed, min, max, mean, std_pop"),
+        ("", "empty file, expected a header row"),
+        ("task,split,n_seeds,n_failed,min,max,mean,std_pop\ntl,test,1\n", "line 2 has 3 cells, the header 8"),
+    ],
+)
+def test_a_malformed_aggregate_is_a_cli_error(tmp_path, capsys, text, expected):
+    run = write_report_inputs(tmp_path)
+    (run / "aggregate.csv").write_text(text, encoding="utf-8")
+    assert cli_error(capsys, ["report", "--run-dir", str(tmp_path)]) == f"error: {run / 'aggregate.csv'}: {expected}"
+
+
+def test_a_cache_label_outside_0_to_9_is_a_cli_error(tmp_path, capsys):
+    train = generated_train_cache(tmp_path)
+    raw = bytearray(train.read_bytes())
+    raw[12 + 30 * 28 * 28 * 4] = 200  # the first tl label of the 30 examples
+    train.write_bytes(bytes(raw))
+    line = config_error(tmp_path, capsys, f"data.source=auto\ndata.dir={train.parent}\n")
+    assert line == "error: train labels of task 'tl' must be digits 0-9, got 200"
+
+
+def test_auto_with_caches_of_other_pair_seeds_only_is_a_cli_error(tmp_path, capsys, monkeypatch):
+    cache = generated_train_cache(tmp_path).parent  # pair seed 7
+    (cache / data.cache_name("test", 9)).write_bytes(b"")
+    monkeypatch.setattr(data, "synthetic_mnist", lambda n, seed: pytest.fail("synthetic digits built"))
+    line = config_error(tmp_path, capsys, f"data.source=auto\ndata.dir={cache}\ndata.pair_seed=1234\n")
+    assert line == (
+        f"error: {cache} holds caches for pair seed(s) 7, 9 but none for data.pair_seed=1234; "
+        "set data.pair_seed to one of them, or data.source=synthetic to build synthetic digits"
+    )
 
 
 @pytest.mark.parametrize("method", ["singletask", "avil"])
