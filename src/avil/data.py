@@ -293,7 +293,11 @@ def save_cache(dataset, path):
 
 
 def load_cache(path, split):
-    """Read a ``save_cache`` file; a bad magic or a short file is a ConfigError."""
+    """Read a ``save_cache`` file.
+
+    A bad magic, a short file, or a pixel that is not a number in [0, 1]
+    (NaN included) is a ConfigError; the last names the first bad image.
+    """
     with open(path, "rb") as fh:
         magic = read_exact(fh, 4, path)
         if magic != CACHE_MAGIC:
@@ -301,6 +305,12 @@ def load_cache(path, split):
         (n,) = struct.unpack("<Q", read_exact(fh, 8, path))
         raw = read_exact(fh, n * 28 * 28 * 4, path)
         images = np.frombuffer(raw, dtype="<f4").reshape(n, 1, 28, 28).copy()
+        # min and max propagate NaN, so one reduction each checks every pixel
+        if n and not (images.min() >= 0.0 and images.max() <= 1.0):
+            flat = images.reshape(n, -1)
+            first = int(np.argmax(~((flat >= 0.0) & (flat <= 1.0)).all(axis=1)))
+            value = next(v for v in flat[first] if not 0.0 <= v <= 1.0)
+            raise ConfigError(f"{path}: image {first} has pixel value {value}, expected a number in [0, 1]")
         tl = np.frombuffer(read_exact(fh, n, path), dtype=np.uint8).astype(np.int64)
         br = np.frombuffer(read_exact(fh, n, path), dtype=np.uint8).astype(np.int64)
     return MultiMnistSet(images=images, labels={TASK_TOP_LEFT: tl, TASK_BOTTOM_RIGHT: br}, split=split)

@@ -225,7 +225,8 @@ def load_pools(config):
     """(train pool, test set) according to the configured data source.
 
     ``auto`` prefers cached generated files, then raw IDX files, then the
-    synthetic source. It is a ConfigError for ``auto`` to fall through to
+    synthetic source. It is a ConfigError for ``auto`` to find only one
+    file of the configured pair seed's cache pair, or to fall through to
     the synthetic source while ``data_dir`` holds caches of other pair
     seeds only: the configured ``pair_seed`` is then most likely wrong.
     """
@@ -236,6 +237,13 @@ def load_pools(config):
     if source == "auto":
         if cache_train.exists() and cache_test.exists():
             source = "cache"
+        elif cache_train.exists() or cache_test.exists():
+            present, missing = (cache_train, cache_test) if cache_train.exists() else (cache_test, cache_train)
+            raise ConfigError(
+                f"{missing} is missing but {present.name} is there; rebuild the pair with "
+                f"`avil generate --pair-seed {config.pair_seed}`, or set data.source=synthetic "
+                f"to build synthetic digits"
+            )
         else:
             try:
                 datamod.find_idx_pair(directory, "train")
@@ -454,8 +462,9 @@ def run_experiment(config, pools=None):
             })
             continue
         write_seed_csv(run_dir / f"seed{seed}.csv", result)
+        # one model for every snapshot: bit-equal encoders share a test-set pass
+        eval_model = build_model(result.task_ids, seed, dtype=config.np_dtype)
         for task, best in sorted(result.best.items()):
-            eval_model = build_model(result.task_ids, seed, dtype=config.np_dtype)
             eval_model.restore(best.params)
             test_acc, _ = weighting.evaluate(eval_model, test_set, task, config.eval_batch_size)
             suffix = f"_{task}" if len(result.best) > 1 else ""

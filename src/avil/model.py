@@ -15,6 +15,17 @@ overwrite; round-trips are bit-exact.
 Initialization is uniform in +/- 1/sqrt(fan_in) per layer, drawn from a
 seeded generator in canonical parameter order; the scheme is a local
 choice, visible here and in the run configuration echo.
+
+Evaluation encodes a whole dataset without a tape (``eval_features``) and
+keeps the result as a single-entry memo. Its key is the exact bits of the
+encoder slice of the parameter vector, the images array itself (the memo
+holds a reference, so its identity cannot be reused) and the chunk size.
+A hit returns arrays that the same code computed from bit-identical
+inputs, so scoring a second head, or rescoring parameters just scored, is
+exact and skips the encoder. The bits are compared rather than the
+values: NaN never equals itself, and -0.0 equals +0.0 without being the
+same parameter. Datasets are immutable by convention; the memo relies on
+that.
 """
 
 from __future__ import annotations
@@ -80,6 +91,7 @@ class MultiHeadModel:
         filled = sum(p.data.size for p in self._params)
         if filled != self._flat.size:
             raise RuntimeError(f"model has {filled} parameters, expected {self._flat.size}")
+        self._features_memo = None  # (encoder bytes, images, batch size, features)
 
     def _init_params(self, rng, shapes):
         """One layer group's tensors, each a view of the next span of ``_flat``."""
@@ -123,6 +135,27 @@ class MultiHeadModel:
         x = ad.relu(ad.maxpool2(ad.conv2d(x, self._encoder["conv2_w"], self._encoder["conv2_b"])))
         x = ad.reshape(x, (x.shape[0], ENCODER_SHAPES[4][1][0]))
         return ad.relu(ad.linear(x, self._encoder["fc_w"], self._encoder["fc_b"]))
+
+    def eval_features(self, images, batch_size):
+        """Tape-free ``features`` of ``images`` in consecutive chunks of ``batch_size``.
+
+        One list entry per chunk. The last call's result is returned again
+        while the encoder bits, the images array and the chunk size are
+        unchanged (module docstring); any other call re-encodes and replaces
+        it. Under an active tape the chunks are encoded afresh and nothing
+        is memoized.
+        """
+        chunks = range(0, len(images), batch_size)
+        if ad.active_tape() is not None:
+            return [self.features(images[lo : lo + batch_size]) for lo in chunks]
+        encoder = self._flat[:ENCODER_PARAMS].view(np.uint8)
+        memo = self._features_memo
+        if memo is not None and memo[1] is images and memo[2] == batch_size and np.array_equal(memo[0], encoder):
+            return memo[3]
+        self._features_memo = None  # free the old entry before encoding the new one
+        feats = [self.features(images[lo : lo + batch_size]) for lo in chunks]
+        self._features_memo = (encoder.copy(), images, batch_size, feats)
+        return feats
 
     def head_logits(self, feats, task):
         head = self.head(task)

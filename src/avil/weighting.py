@@ -23,6 +23,13 @@ its settings as attributes of the run's ``harness.ExperimentConfig``
 (``effective_epochs``, ``batch_size``, ``learning_rate`` and so on); this
 module imports no configuration type, and the config validates the values.
 
+Every dev score goes through ``evaluate``, whose encoder pass the model
+memoizes on its exact encoder bits (``MultiHeadModel.eval_features``).
+The heads scored at an epoch's end therefore share one pass, and DIW's
+end-of-epoch scoring of the candidate its last joint attempt has just
+scored costs none. ``evaluate`` is still called once per score, so the
+number of calls per DIW epoch stays 2 * tasks + attempts.
+
 The alpha gradient is computed analytically as g_i = <delta_i, grad of the
 dev loss at the mixed parameters>, so one dev-set gradient pass per tuning
 step serves every task.
@@ -83,7 +90,12 @@ class TrainResult:
 def evaluate(model, dataset, task, batch_size=512):
     """(accuracy, mean cross-entropy) of one task over a full dataset.
 
-    Argmax ties resolve to the lowest class index.
+    Argmax ties resolve to the lowest class index. The features come from
+    ``model.eval_features``, which re-encodes the dataset only when the
+    encoder's bits, the dataset or ``batch_size`` changed since its last
+    call; the head always runs. Scoring every head at one set of
+    parameters, or rescoring parameters just scored, therefore costs one
+    encoder pass, with results equal to the last bit to fresh passes.
     """
     n = len(dataset)
     if n == 0:
@@ -91,8 +103,9 @@ def evaluate(model, dataset, task, batch_size=512):
     labels = dataset.labels[task]
     correct = 0
     loss_sum = 0.0
-    for idx in chunk_indices(np.arange(n), batch_size):
-        logits = model.forward(dataset.images[idx], task)
+    chunks = chunk_indices(np.arange(n), batch_size)
+    for idx, feats in zip(chunks, model.eval_features(dataset.images, batch_size), strict=True):
+        logits = model.head_logits(feats, task)
         pred = np.argmax(logits.data, axis=1)
         correct += int((pred == labels[idx]).sum())
         loss_sum += float(ad.cross_entropy_mean(logits, labels[idx]).data) * len(idx)

@@ -1,12 +1,29 @@
 import numpy as np
 import pytest
 
+from avil import autodiff as ad
 from avil.data import MultiMnistSet
+from avil.model import MultiHeadModel
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)
+
+
+@pytest.fixture
+def encoder_passes(monkeypatch):
+    """Images per tape-free encoder pass (``MultiHeadModel.features``), in call order."""
+    passes = []
+    features = MultiHeadModel.features
+
+    def counted(self, images):
+        if ad.active_tape() is None:
+            passes.append(len(images))
+        return features(self, images)
+
+    monkeypatch.setattr(MultiHeadModel, "features", counted)
+    return passes
 
 
 def toy_set(n, seed, tasks=("tl", "br"), split="train", label_map=None):

@@ -15,6 +15,8 @@ from avil.model import (
     load_checkpoint,
     save_checkpoint,
 )
+from avil.weighting import evaluate
+from conftest import toy_set
 
 
 class TestBuildModel:
@@ -146,6 +148,69 @@ class TestSnapshotRestore:
         model = build_model(["tl"], seed=0)
         with pytest.raises(ConfigError, match="does not match"):
             model.restore(np.zeros(model.param_count - 1))
+
+
+class TestEvalFeatures:
+    """The evaluation memo: exact on a hit, re-encoding on any change of its key."""
+
+    @pytest.fixture
+    def net(self):
+        return build_model(["tl", "br"], seed=5)
+
+    @pytest.fixture
+    def ds(self):
+        return toy_set(20, seed=6)
+
+    def test_unchanged_parameters_reuse_every_chunk(self, net, ds, encoder_passes):
+        first = net.eval_features(ds.images, 8)
+        assert encoder_passes == [8, 8, 4]
+        assert net.eval_features(ds.images, 8) is first
+        assert encoder_passes == [8, 8, 4]
+
+    def test_a_one_ulp_encoder_change_re_encodes(self, net, ds, encoder_passes):
+        net.eval_features(ds.images, 20)
+        theta = net.snapshot()
+        theta[ENCODER_PARAMS - 1] = np.nextafter(theta[ENCODER_PARAMS - 1], np.inf)  # last fc bias
+        net.restore(theta)
+        net.eval_features(ds.images, 20)
+        assert encoder_passes == [20, 20]
+
+    def test_nan_encoder_bits_still_hit(self, net, ds, encoder_passes):
+        theta = net.snapshot()
+        theta[0] = np.nan
+        net.restore(theta)
+        assert net.eval_features(ds.images, 20) is net.eval_features(ds.images, 20)
+        assert encoder_passes == [20]
+
+    def test_a_head_change_reuses_the_features_and_gives_the_new_result(self, net, ds, encoder_passes):
+        before = evaluate(net, ds, "tl", batch_size=8)
+        theta = net.snapshot()
+        theta[ENCODER_PARAMS:ENCODER_PARAMS + HEAD_PARAMS] *= -3.0  # the "br" head comes first
+        net.restore(theta)
+        memoized = evaluate(net, ds, "br", batch_size=8)
+        assert encoder_passes == [8, 8, 4]
+        fresh = build_model(["tl", "br"], seed=0)
+        fresh.restore(theta)
+        assert memoized == evaluate(fresh, ds, "br", batch_size=8)
+        assert evaluate(net, ds, "tl", batch_size=8) == before
+
+    @pytest.mark.parametrize("change", ["images", "batch size"])
+    def test_other_images_or_batch_size_re_encode(self, net, ds, encoder_passes, change):
+        net.eval_features(ds.images, 20)
+        if change == "images":
+            net.eval_features(ds.images.copy(), 20)  # equal values, another array
+            assert encoder_passes == [20, 20]
+        else:
+            net.eval_features(ds.images, 16)
+            assert encoder_passes == [20, 16, 4]
+
+    def test_a_tape_gets_fresh_tracked_features(self, net, ds, encoder_passes):
+        memoized = net.eval_features(ds.images, 20)
+        with ad.Tape():
+            (taped,) = net.eval_features(ds.images, 20)
+        assert taped.tape is not None
+        assert net.eval_features(ds.images, 20) is memoized
+        assert encoder_passes == [20]  # the fixture counts tape-free passes only
 
 
 class TestCombine:

@@ -50,6 +50,58 @@ def test_rerun_writes_byte_identical_files(tmp_path, method):
     assert first == second
 
 
+@pytest.mark.parametrize(
+    "method, patience", [("singletask", 3), ("multitask", 3), ("avil", 3), ("diw", 1), ("diw", 3)]
+)
+def test_the_feature_memo_changes_no_output_byte(tmp_path, monkeypatch, method, patience):
+    config = replace(TINY, method=method, diw_patience=patience)
+    memoized = run_files(replace(config, out_dir=str(tmp_path / "memo")))
+    eval_features = model.MultiHeadModel.eval_features
+
+    def always_miss(self, images, batch_size):
+        self._features_memo = None
+        return eval_features(self, images, batch_size)
+
+    monkeypatch.setattr(model.MultiHeadModel, "eval_features", always_miss)
+    assert run_files(replace(config, out_dir=str(tmp_path / "fresh"))) == memoized
+
+
+def tiny_datasets(config, seed=2):
+    return harness.seed_datasets(config, harness.load_pools(config)[0], seed)
+
+
+def test_the_heads_share_one_encoder_pass_per_epoch_end(encoder_passes):
+    train, dev = tiny_datasets(TINY)
+    result = weighting.multitask_train(train, dev, ["tl", "br"], TINY, 2)
+    # one chunk: eval.batch_size 64 covers the 60-image dev set
+    assert encoder_passes == [len(dev)] * (1 + len(result.rows))
+
+
+def test_a_diw_patience_1_epoch_encodes_the_dev_set_three_times(encoder_passes):
+    config = replace(TINY, diw_patience=1)
+    train, dev = tiny_datasets(config)
+    result = weighting.diw_train(train, dev, ["tl", "br"], "tl", config, 2)
+    # two single passes and the joint attempt; the epoch end reuses the attempt's pass
+    assert encoder_passes == [len(dev)] * (1 + 3 * len(result.rows))
+
+
+def test_diw_evaluates_once_per_single_pass_attempt_and_task_at_the_epoch_end(monkeypatch):
+    """The count a benchmark can derive DIW's attempts from."""
+    train, dev = tiny_datasets(TINY)  # diw.patience 3
+    calls = []
+    evaluate = weighting.evaluate
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(weighting, "evaluate", counted)
+    tasks = ["tl", "br"]
+    result = weighting.diw_train(train, dev, tasks, "tl", TINY, 2)
+    assert max(row.diw_attempts for row in result.rows) > 1  # the retry loop ran
+    assert len(calls) == 1 + sum(2 * len(tasks) + row.diw_attempts for row in result.rows)
+
+
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_one_task_avil_with_unit_alphas_is_singletask(monkeypatch, dtype):
     config = replace(TINY, dtype=dtype, rho=0.5, epochs=3)
@@ -362,6 +414,31 @@ def test_auto_with_caches_of_other_pair_seeds_only_is_a_cli_error(tmp_path, caps
         f"error: {cache} holds caches for pair seed(s) 7, 9 but none for data.pair_seed=1234; "
         "set data.pair_seed to one of them, or data.source=synthetic to build synthetic digits"
     )
+
+
+@pytest.mark.parametrize("missing", ["test", "train"])
+def test_auto_with_half_a_cache_pair_is_a_cli_error(tmp_path, capsys, monkeypatch, missing):
+    cache = generated_train_cache(tmp_path).parent  # pair seed 7
+    (cache / data.cache_name(missing, 7)).unlink()
+    monkeypatch.setattr(data, "synthetic_mnist", lambda n, seed: pytest.fail("synthetic digits built"))
+    present = "train" if missing == "test" else "test"
+    line = config_error(tmp_path, capsys, f"data.source=auto\ndata.dir={cache}\n")
+    assert line == (
+        f"error: {cache / data.cache_name(missing, 7)} is missing but {data.cache_name(present, 7)} "
+        "is there; rebuild the pair with `avil generate --pair-seed 7`, or set data.source=synthetic "
+        "to build synthetic digits"
+    )
+
+
+@pytest.mark.parametrize("value, shown", [(np.nan, "nan"), (7.5, "7.5"), (-0.25, "-0.25")])
+def test_a_cache_pixel_outside_0_to_1_is_a_cli_error(tmp_path, capsys, value, shown):
+    train = generated_train_cache(tmp_path)
+    raw = bytearray(train.read_bytes())
+    offset = 12 + (3 * 28 * 28 + 100) * 4  # image 3, pixel 100
+    raw[offset : offset + 4] = struct.pack("<f", value)
+    train.write_bytes(bytes(raw))
+    line = config_error(tmp_path, capsys, f"data.source=auto\ndata.dir={train.parent}\n")
+    assert line == f"error: {train}: image 3 has pixel value {shown}, expected a number in [0, 1]"
 
 
 @pytest.mark.parametrize("method", ["singletask", "avil"])

@@ -224,13 +224,20 @@ class TestTuneAlphas:
         np.testing.assert_allclose(alphas, expected, atol=1e-3)
 
 
+def image_chunks(model, images, batch_size):
+    """A fake model's ``eval_features``: the image chunks themselves."""
+    return [images[lo : lo + batch_size] for lo in range(0, len(images), batch_size)]
+
+
 class TestEvaluate:
     def test_perfect_and_constant_predictors(self):
         ds = toy_set(40, seed=10, tasks=("tl",))
         model = build_model(["tl"], seed=11, dtype=np.float64)
 
         class Oracle:
-            def forward(self, images, task):
+            eval_features = image_chunks
+
+            def head_logits(self, images, task):
                 from avil.autodiff import Tensor
 
                 logits = np.zeros((len(images), 10))
@@ -249,7 +256,9 @@ class TestEvaluate:
         from avil.autodiff import Tensor
 
         class Constant:
-            def forward(self, images, task):
+            eval_features = image_chunks
+
+            def head_logits(self, images, task):
                 logits = np.zeros((len(images), 10))
                 logits[:, 0] = 1.0
                 return Tensor(logits)
