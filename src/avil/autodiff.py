@@ -1,9 +1,11 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 A :class:`Tape` records every differentiable operation executed while it is
-active; :func:`backward` replays the records in reverse and accumulates
-gradients onto the leaves, the tracked tensors that no op on the tape
-produced (model parameters, tracked inputs). The op set is deliberately
+active; :func:`backward` replays the records in reverse and returns the
+gradients of the leaves, the tracked tensors that no op on the tape
+produced (model parameters, tracked inputs), as a ``{leaf: gradient}``
+dict. It stores nothing on any tensor, so no gradient outlives the call
+that asked for it and there is nothing to clear. The op set is deliberately
 small: exactly what a LeNet-style convolutional classifier with per-task
 linear heads needs, plus a few helpers (reshape, add, scale, tensor_sum)
 used to compose losses. No broadcasting beyond bias addition and scalar
@@ -57,16 +59,16 @@ class ShapeError(ValueError):
 
 
 class Tensor:
-    """N-dimensional real array plus an optional gradient of the same shape.
+    """N-dimensional real array, optionally tracked for differentiation.
 
     ``tracked`` marks participation in differentiation: ops record a backward
     rule only for tracked operands. An op output recorded on a tape carries
-    that ``tape`` and its ``node`` index there; only leaves (tracked tensors
-    that no op on the loss's tape produced) receive a ``grad`` from
-    :func:`backward`. Data is immutable by convention after an op creates
-    it; only ``grad`` accumulates.
+    that ``tape`` and its ``node`` index there. Data is immutable by
+    convention after an op creates it. avil never sets ``grad``:
+    :func:`backward` returns gradients rather than storing them.
     """
 
+    # grad stays a slot because avilbench/layers.py assigns ``t.grad = None``
     __slots__ = ("data", "grad", "tracked", "tape", "node")
 
     def __init__(self, data, tracked=False, dtype=None):
@@ -137,12 +139,12 @@ def _make(data, rules):
 
 
 def backward(loss):
-    """Accumulate gradients of ``loss`` onto every leaf feeding it.
+    """Gradients of ``loss`` as ``{leaf: gradient}`` for every leaf feeding it.
 
-    Repeated calls without clearing grads accumulate additively, also after
-    the tape's ``with`` block has exited. The replay walks the tape in
-    reverse recording order from the loss's node, so a tensor consumed
-    several times receives the sum of all branch contributions.
+    Nothing is written onto any tensor, and the call works also after the
+    tape's ``with`` block has exited. The replay walks the tape in reverse
+    recording order from the loss's node, so a tensor consumed several times
+    receives the sum of all branch contributions.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
@@ -150,21 +152,18 @@ def backward(loss):
         raise ValueError("loss was not produced under an active tape")
     records = loss.tape._records
     adjoint = {loss.node: np.ones_like(loss.data)}
-    leaves = {}
+    grads = {}
     for node in range(loss.node, -1, -1):
         g = adjoint.pop(node, None)
         if g is None:
             continue
         for operand, vjp in records[node]:
             contrib = vjp(g)
-            if isinstance(operand, int):
-                prev = adjoint.get(operand)
-                adjoint[operand] = contrib if prev is None else prev + contrib
-            else:
-                prev = leaves.get(id(operand))
-                leaves[id(operand)] = (operand, contrib if prev is None else prev[1] + contrib)
-    for tensor, g in leaves.values():
-        tensor.grad = g if tensor.grad is None else tensor.grad + g
+            # a node index for an op output, the tensor itself for a leaf
+            acc = adjoint if isinstance(operand, int) else grads
+            prev = acc.get(operand)
+            acc[operand] = contrib if prev is None else prev + contrib
+    return grads
 
 
 # ---------------------------------------------------------------------------

@@ -72,10 +72,6 @@ class MultiMnistSet:
     def __len__(self):
         return self.images.shape[0]
 
-    @property
-    def tasks(self):
-        return sorted(self.labels)
-
     def take(self, indices, split=None):
         indices = np.asarray(indices)
         return MultiMnistSet(

@@ -441,7 +441,8 @@ def run_experiment(config, pools=None):
     Per seed: a dev split and optional desk subset are drawn, the method is
     trained, the best snapshot per reported task is evaluated exactly once
     on the test set, and per-epoch rows are written to CSV. A seed whose
-    loss turns NaN is recorded as failed and excluded from aggregates.
+    loss turns NaN is recorded as failed for every task the method reports
+    (all tasks for multitask, else the target) and excluded from aggregates.
     """
     _keep_heap_resident()
     run_dir = Path(config.out_dir) / config.run_name()
@@ -457,9 +458,8 @@ def run_experiment(config, pools=None):
         try:
             result = _dispatch(config, train_set, dev_set, seed)
         except NanLossError as exc:
-            summary_rows.append({
-                "seed": seed, "task": config.target, "status": f"failed:{exc}",
-            })
+            reported = sorted(train_set.labels) if config.method == "multitask" else [config.target]
+            summary_rows += [{"seed": seed, "task": task, "status": f"failed:{exc}"} for task in reported]
             continue
         write_seed_csv(run_dir / f"seed{seed}.csv", result)
         # one model for every snapshot: bit-equal encoders share a test-set pass

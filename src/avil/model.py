@@ -12,6 +12,12 @@ updates therefore always align. Each parameter's data is a view of one
 vector in that order, so a snapshot is one copy and a restore one
 overwrite; round-trips are bit-exact.
 
+``loss_grad`` is the one batch-gradient path: under its own tape it runs
+one encoder pass, sums each listed head's cross-entropy scaled by its
+weight, and returns the loss, the raw per-task losses and the flat
+gradient in canonical order. No gradient is stored on the parameters, so
+a restore is only an overwrite.
+
 Initialization is uniform in +/- 1/sqrt(fan_in) per layer, drawn from a
 seeded generator in canonical parameter order; the scheme is a local
 choice, visible here and in the run configuration echo.
@@ -127,8 +133,7 @@ class MultiHeadModel:
         """Shared 50-wide encoding of a [batch, 1, 28, 28] input.
 
         Under an active tape the result is differentiable with respect to
-        the encoder parameters. Joint losses reuse one feature pass for all
-        heads; the encoder gradient then accumulates every head's share.
+        the encoder parameters.
         """
         x = images if isinstance(images, ad.Tensor) else ad.Tensor(np.asarray(images, dtype=self.dtype))
         x = ad.relu(ad.maxpool2(ad.conv2d(x, self._encoder["conv1_w"], self._encoder["conv1_b"])))
@@ -165,34 +170,47 @@ class MultiHeadModel:
         """Logits [batch, 10] for one task's head."""
         return self.head_logits(self.features(images), task)
 
+    def loss_grad(self, images, labels, weights):
+        """(loss, {task: raw loss}, flat gradient) of one batch.
+
+        The loss is the sum over ``weights`` (task id -> scale), in its
+        order, of each head's mean cross-entropy against ``labels[task]``
+        times its scale; the raw losses are unscaled. The encoder runs once
+        and every head reads its features, so the encoder gradient sums
+        every task's share. The gradient is a new vector in canonical
+        order, zero in the heads outside ``weights``. Scaling by 1.0 is
+        exact forward and backward: one task at weight 1.0 gives the plain
+        cross-entropy and its gradient.
+        """
+        with ad.Tape():
+            feats = self.features(images)
+            total, raw = None, {}
+            for task, w in weights.items():
+                ce = ad.cross_entropy_mean(self.head_logits(feats, task), labels[task])
+                raw[task] = float(ce.data)
+                term = ad.scale(ce, w)
+                total = term if total is None else ad.add(total, term)
+            grads = ad.backward(total)
+        flat = np.zeros_like(self._flat)
+        start = 0
+        for p in self._params:
+            if p in grads:
+                flat[start : start + p.data.size] = grads[p].reshape(-1)
+            start += p.data.size
+        return float(total.data), raw, flat
+
     def snapshot(self):
         """Copy of all parameters as one flat vector in canonical order."""
         return self._flat.copy()
 
     def restore(self, values):
-        """Overwrite all parameters from a flat vector; clears stale grads."""
+        """Overwrite all parameters from a flat vector."""
         values = np.asarray(values)
         if values.shape != self._flat.shape:
             raise ConfigError(
                 f"parameter vector of length {values.size} does not match model ({self.param_count})"
             )
         np.copyto(self._flat, values, casting="unsafe")
-        for p in self._params:
-            p.grad = None
-
-    def gradient_vector(self):
-        """Flat gradient in canonical order; zeros where no grad flowed."""
-        parts = []
-        for p in self.parameters():
-            if p.grad is None:
-                parts.append(np.zeros(p.data.size, dtype=self.dtype))
-            else:
-                parts.append(np.asarray(p.grad, dtype=self.dtype).reshape(-1))
-        return np.concatenate(parts)
-
-    def zero_grad(self):
-        for p in self.parameters():
-            p.grad = None
 
 
 def build_model(task_ids, seed, dtype=np.float64):

@@ -33,6 +33,10 @@ number of calls per DIW epoch stays 2 * tasks + attempts.
 The alpha gradient is computed analytically as g_i = <delta_i, grad of the
 dev loss at the mixed parameters>, so one dev-set gradient pass per tuning
 step serves every task.
+
+Every batch gradient, training step or dev-loss pass alike, is one
+``MultiHeadModel.loss_grad`` call; this module opens no tape and handles no
+parameter gradient other than the flat vector that call returns.
 """
 
 from __future__ import annotations
@@ -112,53 +116,29 @@ def evaluate(model, dataset, task, batch_size=512):
     return correct / n, loss_sum / n
 
 
-def _epoch_pass(model, base, batch_list, dataset, loss_builder, learning_rate, momentum):
+def _epoch_pass(model, base, batch_list, dataset, weights, cfg):
     """One pass of mini-batch SGD from ``base``, with a fresh velocity buffer.
 
-    Returns (displacement, per-task mean raw loss). The model is left at
-    base + displacement.
+    Each batch's loss is the ``weights``-scaled sum of task losses that
+    ``model.loss_grad`` computes. Returns (displacement, per-task mean raw
+    loss). The model is left at base + displacement.
     """
-    state = optim.SgdState(learning_rate, momentum, base.size, dtype=base.dtype)
+    state = optim.SgdState(cfg.learning_rate, cfg.momentum, base.size, dtype=base.dtype)
     disp = np.zeros_like(base)
     loss_sums: dict = {}
     count = 0
     for idx in batch_list:
         model.restore(base + disp)
-        with ad.Tape():
-            loss, raw = loss_builder(model, idx)
-            if not np.isfinite(loss.data):
-                raise NanLossError(f"non-finite training loss {float(loss.data)}")
-            ad.backward(loss)
-        grad = model.gradient_vector()
+        labels = {task: dataset.labels[task][idx] for task in weights}
+        loss, raw, grad = model.loss_grad(dataset.images[idx], labels, weights)
+        if not np.isfinite(loss):
+            raise NanLossError(f"non-finite training loss {loss}")
         disp = optim.sgd_step(state, disp, grad)
         for task, value in raw.items():
             loss_sums[task] = loss_sums.get(task, 0.0) + value * len(idx)
         count += len(idx)
     model.restore(base + disp)
     return disp, {task: total / count for task, total in loss_sums.items()}
-
-
-def _joint_loss(dataset, tasks, weights):
-    """Sum of per-task losses scaled by ``weights`` on the shared input.
-
-    The encoder runs once; every head consumes the same features, so the
-    encoder gradient accumulates all tasks' contributions. One task at
-    weight 1.0 is the plain cross-entropy: scaling by 1.0 is exact both
-    forward and in the VJP.
-    """
-
-    def builder(model, idx):
-        feats = model.features(dataset.images[idx])
-        total = None
-        raw = {}
-        for task, w in zip(tasks, weights):
-            ce = ad.cross_entropy_mean(model.head_logits(feats, task), dataset.labels[task][idx])
-            raw[task] = float(ce.data)
-            term = ad.scale(ce, w)
-            total = term if total is None else ad.add(total, term)
-        return total, raw
-
-    return builder
 
 
 def collect_delta(model, base, task, w_norm, order, dataset, cfg):
@@ -169,12 +149,7 @@ def collect_delta(model, base, task, w_norm, order, dataset, cfg):
     """
     if len(order) == 0:
         raise ConfigError("collect_delta requires non-empty epoch data")
-    batch_list = chunk_indices(order, cfg.batch_size)
-    disp, raw = _epoch_pass(
-        model, base, batch_list, dataset,
-        _joint_loss(dataset, [task], [w_norm]),
-        cfg.learning_rate, cfg.momentum,
-    )
+    disp, raw = _epoch_pass(model, base, chunk_indices(order, cfg.batch_size), dataset, {task: w_norm}, cfg)
     model.restore(base)
     return disp, raw[task]
 
@@ -187,7 +162,8 @@ def dev_loss_grad(model, dev_set, task, batch_size=512):
     """Callable theta -> (dev loss, dev gradient) for one task's mean loss.
 
     The gradient of the full-set mean is accumulated exactly as the
-    batch-size-weighted average of batch gradients.
+    batch-size-weighted average of batch gradients. Each batch is one
+    ``model.loss_grad`` call at weight 1.0, which is the plain cross-entropy.
     """
     n = len(dev_set)
     if n == 0:
@@ -200,13 +176,10 @@ def dev_loss_grad(model, dev_set, task, batch_size=512):
         total_loss = 0.0
         total_grad = np.zeros_like(theta)
         for idx in chunks:
-            model.zero_grad()
-            with ad.Tape():
-                ce = ad.cross_entropy_mean(model.forward(dev_set.images[idx], task), labels[idx])
-                ad.backward(ce)
+            loss, _, grad = model.loss_grad(dev_set.images[idx], {task: labels[idx]}, {task: 1.0})
             frac = len(idx) / n
-            total_loss += float(ce.data) * frac
-            total_grad += model.gradient_vector() * frac
+            total_loss += loss * frac
+            total_grad += grad * frac
         return total_loss, total_grad
 
     return loss_grad
@@ -218,8 +191,6 @@ def alpha_gradient(loss_grad, base, deltas, alphas):
     Raises NanLossError when the dev loss or any g_i is not finite, so that
     a NaN never reaches the alphas or the written-back base.
     """
-    if len(deltas) != len(alphas):
-        raise ConfigError(f"{len(deltas)} deltas vs {len(alphas)} alphas")
     theta = combine(base, deltas, alphas)
     loss, grad = loss_grad(theta)
     g = np.array([float(np.dot(np.asarray(d, np.float64), np.asarray(grad, np.float64))) for d in deltas])
@@ -286,10 +257,7 @@ def singletask_train(train_set, dev_set, task, cfg, seed):
 
     def step(epoch, base, best):
         order = sample_fraction(train_set, cfg.rho, seed, epoch, key=task)
-        disp, raw = _epoch_pass(
-            model, base, chunk_indices(order, cfg.batch_size), train_set,
-            _joint_loss(train_set, [task], [1.0]), cfg.learning_rate, cfg.momentum,
-        )
+        disp, raw = _epoch_pass(model, base, chunk_indices(order, cfg.batch_size), train_set, {task: 1.0}, cfg)
         return base + disp, raw, {}
 
     return _run(model, dev_set, task, cfg, step)
@@ -304,14 +272,11 @@ def multitask_train(train_set, dev_set, tasks, cfg, seed):
     if len(tasks) < 2:
         raise ConfigError("multitask training requires at least two tasks")
     model = build_model(tasks, seed, dtype=cfg.np_dtype)
-    uniform = [1.0 / len(tasks)] * len(tasks)
+    uniform = {task: 1.0 / len(tasks) for task in tasks}
 
     def step(epoch, base, best):
         batch_list = batches(train_set, cfg.batch_size, seed, epoch)
-        disp, raw = _epoch_pass(
-            model, base, batch_list, train_set,
-            _joint_loss(train_set, tasks, uniform), cfg.learning_rate, cfg.momentum,
-        )
+        disp, raw = _epoch_pass(model, base, batch_list, train_set, uniform, cfg)
         return base + disp, raw, {}
 
     return _run(model, dev_set, None, cfg, step)
@@ -370,19 +335,13 @@ def diw_train(train_set, dev_set, tasks, target, cfg, seed):
         batch_list = batches(train_set, cfg.batch_size, seed, epoch)
         single_acc = np.zeros(len(tasks))
         for i, task in enumerate(tasks):
-            _epoch_pass(
-                model, base, batch_list, train_set,
-                _joint_loss(train_set, [task], [1.0]), cfg.learning_rate, cfg.momentum,
-            )
+            _epoch_pass(model, base, batch_list, train_set, {task: 1.0}, cfg)
             single_acc[i], _ = evaluate(model, dev_set, target, cfg.eval_batch_size)
             model.restore(base)
         candidates = []
         for attempt in range(1, cfg.diw_patience + 1):
             w_norm = weights / weights.sum()
-            disp, raw = _epoch_pass(
-                model, base, batch_list, train_set,
-                _joint_loss(train_set, tasks, list(w_norm)), cfg.learning_rate, cfg.momentum,
-            )
+            disp, raw = _epoch_pass(model, base, batch_list, train_set, dict(zip(tasks, w_norm)), cfg)
             a_joint, _ = evaluate(model, dev_set, target, cfg.eval_batch_size)
             candidates.append((a_joint, attempt, base + disp, raw))
             if a_joint > best[target].dev_accuracy:

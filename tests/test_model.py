@@ -83,19 +83,51 @@ class TestForward:
     def test_other_heads_gradient_is_exactly_zero(self, rng):
         model = build_model(["tl", "br"], seed=3)
         x = rng.uniform(size=(4, 1, 28, 28))
+        labels = np.array([1, 2, 3, 4])
         with ad.Tape():
-            loss = ad.cross_entropy_mean(model.forward(x, "tl"), np.array([1, 2, 3, 4]))
-            ad.backward(loss)
+            grads = ad.backward(ad.cross_entropy_mean(model.forward(x, "tl"), labels))
         for name in ("w", "b"):
-            assert model.head("br")[name].grad is None
-        assert model.head("tl")["w"].grad is not None
+            assert model.head("br")[name] not in grads
+        assert model.head("tl")["w"] in grads
         # canonical layout has heads sorted by id: "br" before "tl"
-        grad = model.gradient_vector()
+        _, _, grad = model.loss_grad(x, {"tl": labels}, {"tl": 1.0})
         br_block = grad[ENCODER_PARAMS : ENCODER_PARAMS + HEAD_PARAMS]
         tl_block = grad[ENCODER_PARAMS + HEAD_PARAMS :]
         assert np.all(br_block == 0.0)
         assert np.any(tl_block != 0.0)
         assert np.any(grad[:ENCODER_PARAMS] != 0.0)
+
+
+class TestLossGrad:
+    @pytest.fixture
+    def batch(self, rng):
+        images = rng.uniform(size=(6, 1, 28, 28))
+        return images, {"tl": rng.integers(0, 10, size=6), "br": rng.integers(0, 10, size=6)}
+
+    def test_raw_losses_are_each_heads_plain_cross_entropy(self, batch):
+        model = build_model(["tl", "br"], seed=4)
+        images, labels = batch
+        loss, raw, _ = model.loss_grad(images, labels, {"tl": 0.25, "br": 2.0})
+        for task in ("tl", "br"):
+            assert raw[task] == float(ad.cross_entropy_mean(model.forward(images, task), labels[task]).data)
+        assert list(raw) == ["tl", "br"]  # the order of the weights
+        assert loss == pytest.approx(0.25 * raw["tl"] + 2.0 * raw["br"], rel=1e-14)
+
+    def test_gradient_is_the_weighted_sum_of_the_heads_gradients(self, batch):
+        model = build_model(["tl", "br"], seed=4)
+        images, labels = batch
+        _, _, joint = model.loss_grad(images, labels, {"tl": 0.25, "br": 2.0})
+        _, _, tl = model.loss_grad(images, labels, {"tl": 1.0})
+        _, _, br = model.loss_grad(images, labels, {"br": 1.0})
+        assert joint.shape == (model.param_count,) and joint.dtype == model.dtype
+        np.testing.assert_allclose(joint, 0.25 * tl + 2.0 * br, rtol=1e-10, atol=1e-15)
+
+    def test_nothing_is_stored_on_the_parameters(self, batch):
+        model = build_model(["tl", "br"], seed=4)
+        before = model.snapshot()
+        model.loss_grad(*batch, {"tl": 1.0, "br": 1.0})
+        assert all(p.grad is None for p in model.parameters())
+        np.testing.assert_array_equal(model.snapshot(), before)
 
 
 class TestSnapshotRestore:
@@ -105,16 +137,6 @@ class TestSnapshotRestore:
         np.testing.assert_array_equal(snap, np.concatenate([p.data.ravel() for p in model.parameters()]))
         snap[:] = 0.0
         assert np.any(model.snapshot() != 0.0)
-
-    def test_restore_clears_every_gradient(self, rng):
-        model = build_model(["tl", "br"], seed=9)
-        with ad.Tape():
-            feats = model.features(rng.uniform(size=(2, 1, 28, 28)))
-            loss = ad.add(*(ad.cross_entropy_mean(model.head_logits(feats, t), np.arange(2)) for t in ("tl", "br")))
-            ad.backward(loss)
-        assert all(p.grad is not None for p in model.parameters())
-        model.restore(model.snapshot())
-        assert all(p.grad is None for p in model.parameters())
 
     def test_round_trip_is_bit_identical(self, rng):
         model = build_model(["tl", "br"], seed=9)
@@ -135,11 +157,9 @@ class TestSnapshotRestore:
         p1 = model.snapshot()
         x = rng.uniform(size=(8, 1, 28, 28))
         y = rng.integers(0, 10, size=8)
-        with ad.Tape():
-            loss = ad.cross_entropy_mean(model.forward(x, "tl"), y)
-            ad.backward(loss)
+        _, _, grad = model.loss_grad(x, {"tl": y}, {"tl": 1.0})
         state = SgdState(0.05, 0.9, model.param_count)
-        model.restore(sgd_step(state, p1, model.gradient_vector()))
+        model.restore(sgd_step(state, p1, grad))
         assert not np.array_equal(model.snapshot(), p1)
         model.restore(p1)
         np.testing.assert_array_equal(model.snapshot(), p1)

@@ -122,18 +122,44 @@ def read_csv(path):
     return [dict(zip(header.split(","), row.split(","))) for row in rows]
 
 
-def test_nan_dev_loss_fails_the_seed_at_the_tuning_step(tmp_path, monkeypatch):
-    # one epoch: the NaN can only surface while tuning, not in a later
-    # epoch's training loss
+def poison_seed_2(monkeypatch, split):
+    """Make ``harness.seed_datasets`` give seed 2 a NaN first image in ``split``."""
     seed_datasets = harness.seed_datasets
 
     def poisoned(config, pool, seed):
         train, dev = seed_datasets(config, pool, seed)
         if seed == 2:
-            dev.images[0] = np.nan
+            (train if split == "train" else dev).images[0] = np.nan
         return train, dev
 
     monkeypatch.setattr(harness, "seed_datasets", poisoned)
+
+
+@pytest.mark.parametrize("method", harness.METHODS)
+def test_a_nan_training_loss_fails_the_seed(tmp_path, monkeypatch, method):
+    poison_seed_2(monkeypatch, "train")
+    run_dir = harness.run_experiment(replace(TINY, method=method, out_dir=str(tmp_path)))
+    rows = read_csv(run_dir / "summary.csv")
+    assert {row["status"] for row in rows if row["seed"] == "1"} == {"ok"}
+    failed = [row["status"] for row in rows if row["seed"] == "2"]
+    assert failed and all(status == "failed:non-finite training loss nan" for status in failed)
+    assert not (run_dir / "seed2.csv").exists()
+
+
+def test_a_failed_multitask_seed_counts_against_every_task(tmp_path, monkeypatch):
+    poison_seed_2(monkeypatch, "train")
+    run_dir = harness.run_experiment(replace(TINY, method="multitask", out_dir=str(tmp_path)))
+    failed = [row["task"] for row in read_csv(run_dir / "summary.csv") if row["seed"] == "2"]
+    assert failed == ["br", "tl"]
+    aggregate = read_csv(run_dir / "aggregate.csv")
+    counts = [(row["task"], row["split"], row["n_seeds"], row["n_failed"]) for row in aggregate]
+    assert counts == [(task, split, "1", "1") for task in ("br", "tl") for split in ("dev", "test")]
+
+
+def test_nan_dev_loss_fails_the_seed_at_the_tuning_step(tmp_path, monkeypatch):
+    # one epoch: the NaN can only surface while tuning, not in a later
+    # epoch's training loss
+    poison_seed_2(monkeypatch, "dev")
     config = replace(TINY, method="avil", epochs=1, out_dir=str(tmp_path))
     run_dir = harness.run_experiment(config)
     summary = {row["seed"]: row for row in read_csv(run_dir / "summary.csv")}

@@ -1,10 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from gradcheck import assert_gradients_close
 from avil import autodiff as ad
+from avil.data import chunk_indices
 from avil.harness import ExperimentConfig
 from avil.model import build_model, combine
+from avil.optim import SgdState, sgd_step
 from avil.weighting import (
     ConfigError,
     NanLossError,
@@ -17,6 +21,16 @@ from avil.weighting import (
 from conftest import toy_set
 
 CFG64 = ExperimentConfig(epochs=1, batch_size=16, eval_batch_size=64, dtype="float64")
+
+
+def plain_loss_grad(model, images, labels, task):
+    """One head's cross-entropy and flat gradient, written out by hand: an
+    explicit tape, ``model.forward`` and ``backward``, and no ``scale`` node."""
+    with ad.Tape():
+        ce = ad.cross_entropy_mean(model.forward(images, task), labels)
+    grads = ad.backward(ce)
+    parts = [grads.get(p, np.zeros(p.shape, model.dtype)).reshape(-1) for p in model.parameters()]
+    return float(ce.data), np.concatenate(parts)
 
 
 def quadratic_loss_grad(center):
@@ -65,27 +79,24 @@ class TestCollectDelta:
         half, _ = collect_delta(model, base, "tl", 0.5, order, ds, cfg)
         np.testing.assert_array_equal(half, 0.5 * full)
 
-    def test_unit_weight_matches_plain_epoch(self, rng):
-        # scaling by exactly 1.0 is the identity; delta equals an unweighted pass
-        from avil.data import chunk_indices
-        from avil.weighting import _epoch_pass
-
-        ds = toy_set(24, seed=6)
-        model = build_model(["tl"], seed=7, dtype=np.float64)
-        base = model.snapshot()
-        order = np.arange(24)
-        delta, _ = collect_delta(model, base, "tl", 1.0, order, ds, CFG64)
-
-        def plain_loss(model, idx):
-            ce = ad.cross_entropy_mean(model.forward(ds.images[idx], "tl"), ds.labels["tl"][idx])
-            return ce, {"tl": float(ce.data)}
-
-        plain, _ = _epoch_pass(
-            model, base, chunk_indices(order, CFG64.batch_size), ds,
-            plain_loss, CFG64.learning_rate, CFG64.momentum,
-        )
-        model.restore(base)
-        np.testing.assert_array_equal(delta, plain)
+    def test_unit_weight_matches_plain_epoch(self):
+        # scaling by exactly 1.0 is the identity: the delta equals plain SGD
+        # on the hand-written gradient, in either precision
+        for dtype in (np.float32, np.float64):
+            cfg = replace(CFG64, dtype=np.dtype(dtype).name)
+            ds = toy_set(24, seed=6)  # batches of 16 and 8
+            model = build_model(["tl", "br"], seed=7, dtype=dtype)
+            base = model.snapshot()
+            order = np.arange(24)
+            delta, _ = collect_delta(model, base, "tl", 1.0, order, ds, cfg)
+            state = SgdState(cfg.learning_rate, cfg.momentum, base.size, dtype=base.dtype)
+            plain = np.zeros_like(base)
+            for idx in chunk_indices(order, cfg.batch_size):
+                model.restore(base + plain)
+                _, grad = plain_loss_grad(model, ds.images[idx], ds.labels["tl"][idx], "tl")
+                plain = sgd_step(state, plain, grad)
+            assert delta.dtype == plain.dtype == dtype
+            np.testing.assert_array_equal(delta, plain)
 
 
 class TestAlphaGradient:
@@ -149,6 +160,23 @@ class TestAlphaGradient:
             loss_down, _ = lg(combine(base, deltas, down))
             numeric[i] = (loss_up - loss_down) / (2 * step)
         assert_gradients_close(analytic, numeric, rtol=1e-3)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_dev_loss_grad_is_bit_equal_to_a_hand_written_loop(self, dtype):
+        dev = toy_set(40, seed=8, split="dev")  # chunks of 16, 16 and 8
+        model = build_model(["tl", "br"], seed=9, dtype=dtype)
+        theta = model.snapshot()
+        loss, grad = dev_loss_grad(model, dev, "tl", batch_size=16)(theta)
+        model.restore(theta)
+        ref_loss, ref_grad = 0.0, np.zeros_like(theta)
+        for idx in chunk_indices(np.arange(40), 16):
+            chunk_loss, chunk_grad = plain_loss_grad(model, dev.images[idx], dev.labels["tl"][idx], "tl")
+            frac = len(idx) / 40
+            ref_loss += chunk_loss * frac
+            ref_grad += chunk_grad * frac
+        assert loss == ref_loss
+        assert grad.dtype == ref_grad.dtype == dtype
+        np.testing.assert_array_equal(grad, ref_grad)
 
     def test_empty_dev_set_rejected(self):
         model = build_model(["tl"], seed=0, dtype=np.float64)
