@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,19 @@ from avil.model import MultiHeadModel
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)
+
+
+@pytest.fixture
+def traced_peak():
+    """``traced_peak(fn)`` returns ``(fn(), peak bytes tracemalloc traced while fn ran)``."""
+
+    def measure(fn):
+        tracemalloc.start()
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+
+    yield measure
+    tracemalloc.stop()  # also when fn raised
 
 
 @pytest.fixture

@@ -1,6 +1,5 @@
 import gc
 import itertools
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -211,22 +210,21 @@ class TestConv2dReference:
         for leaf, reference in zip(leaves, (dx, dk1, db1, dk2, db2)):
             assert_close_to(grads[leaf], reference)
 
-    def test_peak_memory_stays_within_a_few_row_blocks(self):
+    def test_peak_memory_stays_within_a_few_row_blocks(self, traced_peak):
         # the whole (250, 8*8*512) float64 patch matrix would be 62.5 MiB
         gen = np.random.default_rng(13)
         x = Tensor(LAYOUTS["batch-innermost"](gen.standard_normal((512, 10, 12, 12))), tracked=True)
         k, b = tracked(gen.standard_normal((20, 10, 5, 5))), tracked(gen.standard_normal(20))
         block_bytes = ad._BLOCK_ELEMENTS * 8
         assert 250 * 8 * 8 * 512 * 8 > 3 * block_bytes
-        tracemalloc.start()
-        try:
+
+        def forward_backward():
             with Tape():
                 out = ad.conv2d(x, k, b)
                 loss = ad.tensor_sum(out)
-            grads = backward(loss)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+            return out, backward(loss)
+
+        (out, grads), peak = traced_peak(forward_backward)
         # the output, its gradient as tensor_sum hands it and as batch-innermost
         # rows, the input gradient, and one block's patches or patch gradient
         assert peak < 3 * out.data.nbytes + grads[x].nbytes + 1.5 * block_bytes
@@ -286,6 +284,7 @@ class TestMaxpool2Reference:
         ref_out, ref_dx = maxpool_reference(x, g)
         assert bits(out) == bits(ref_out)
         assert bits(dx) == bits(ref_dx)
+        assert dx.strides == x.strides
 
 
 class TestMaxpool2:
@@ -306,6 +305,33 @@ class TestMaxpool2:
     def test_odd_spatial_dims_rejected(self):
         with pytest.raises(ShapeError, match="even"):
             ad.maxpool2(tracked(np.ones((1, 1, 3, 4))))
+
+    def test_tape_free_call_records_nothing(self):
+        x = np.ones((1, 1, 4, 4))
+        out = ad.maxpool2(tracked(x))
+        assert out.tape is None and not out.tracked
+        with Tape() as tape:
+            out = ad.maxpool2(Tensor(x))
+        assert tape._records == [] and out.tape is None and not out.tracked
+
+    def test_conv_output_is_freed_once_the_pool_returns(self, rng):
+        # the pool's record keeps masks, never its input, so the conv output
+        # dies with its tensor; gc stays off to show reference counting does it
+        k, b = tracked(rng.standard_normal((3, 1, 3, 3))), tracked(rng.standard_normal(3))
+        gc.collect()
+        gc.disable()
+        try:
+            with Tape():
+                conv = ad.conv2d(Tensor(rng.uniform(size=(4, 1, 10, 10))), k, b)
+                conv_refs = weakref.ref(conv.data), weakref.ref(conv.data.base)
+                pooled = ad.maxpool2(conv)
+                del conv
+                assert [ref() for ref in conv_refs] == [None, None]
+                loss = ad.tensor_sum(ad.relu(pooled))
+            grads = backward(loss)
+        finally:
+            gc.enable()
+        assert set(grads) == {k, b}
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_bruteforce_window_max(self, seed):
@@ -370,11 +396,29 @@ def relu_reference(x, g):
     return np.where(mask, x, 0), g * mask
 
 
-def relu_with_gradient(x, g):
-    """relu's output and its VJP applied to g, handed over in g's own layout."""
+def maxpool_multiply_reference(x, g):
+    """The multiply formula maxpool2 used while its record kept the input, for comparison."""
+    b, c, h, w = x.shape
+    pairs = x.reshape(b, c, h // 2, 2, w // 2, 2)
+    rows = np.maximum(pairs[..., 0], pairs[..., 1])
+    out = np.maximum(rows[:, :, :, 0], rows[:, :, :, 1])
+    top = rows[:, :, :, 0] == out
+    left = pairs[..., 0] == rows
+    g_rows = np.empty_like(rows)
+    np.multiply(g, top, out=g_rows[:, :, :, 0])
+    np.multiply(g, ~top, out=g_rows[:, :, :, 1])
+    dx = np.empty_like(pairs)
+    np.multiply(g_rows, left, out=dx[..., 0])
+    np.multiply(g_rows, ~left, out=dx[..., 1])
+    dx += 0.0
+    return out, dx.reshape(b, c, h, w)
+
+
+def op_with_gradient(op, x, g):
+    """A one-operand op's output and its VJP applied to g, handed over in g's own layout."""
     xt = Tensor(x, tracked=True)
     with Tape() as tape:
-        out = ad.relu(xt)
+        out = op(xt)
     ((_, vjp),) = tape._records[out.node]
     return out.data, vjp(g)
 
@@ -390,7 +434,7 @@ class TestReluReference:
         x = LAYOUTS[layout](x.astype(dtype))
         g = LAYOUTS[layout](gen.standard_normal(x.shape).astype(dtype))
         assert np.signbit(x[x == 0]).any() and not np.signbit(x[x == 0]).all()
-        out, dx = relu_with_gradient(x, g)
+        out, dx = op_with_gradient(ad.relu, x, g)
         ref_out, ref_dx = relu_reference(x, g)
         assert out.dtype == dx.dtype == dtype
         assert bits(out) == bits(ref_out)
@@ -401,8 +445,33 @@ class TestReluReference:
 
     def test_nan_and_minus_inf_give_nan(self):
         with np.errstate(invalid="ignore"):
-            out, _ = relu_with_gradient(np.array([np.nan, -np.inf, np.inf, -1.0]), np.ones(4))
+            out, _ = op_with_gradient(ad.relu, np.array([np.nan, -np.inf, np.inf, -1.0]), np.ones(4))
         np.testing.assert_array_equal(out, [np.nan, np.nan, np.inf, 0.0])
+
+
+# Every window of four values from these, and every window against each
+# upstream gradient: NaN, +-inf and mixed +-0 in both.
+EDGE_VALUES = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0]
+EDGE_GRADIENTS = [np.nan, np.inf, -np.inf, -0.0, -1.5, 2.0]
+
+
+class TestMaxpool2EdgeCases:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_non_finite_and_signed_zero_windows_are_bit_equal_to_the_multiply_formula(self, dtype, layout):
+        windows = np.array(list(itertools.product(EDGE_VALUES, repeat=4)))
+        x = np.broadcast_to(windows.reshape(1, -1, 2, 2), (len(EDGE_GRADIENTS), len(windows), 2, 2))
+        x = LAYOUTS[layout](x.astype(dtype))
+        g = np.broadcast_to(np.array(EDGE_GRADIENTS).reshape(-1, 1, 1, 1), (len(EDGE_GRADIENTS), len(windows), 1, 1))
+        g = LAYOUTS[layout](g.astype(dtype))
+        with np.errstate(invalid="ignore"):
+            out, dx = op_with_gradient(ad.maxpool2, x, g)
+            ref_out, ref_dx = maxpool_multiply_reference(x, g)
+        assert out.dtype == dx.dtype == dtype
+        assert bits(out) == bits(ref_out)
+        assert bits(dx) == bits(ref_dx)
+        assert dx.strides == x.strides
+        assert np.isnan(dx).any() and np.isinf(dx).any() and not np.signbit(dx[dx == 0]).any()
 
 
 class TestCrossEntropyMean:
@@ -562,6 +631,14 @@ class TestBackward:
         assert list(grads) == [x]
         np.testing.assert_array_equal(grads[x], np.full(3, 2.0))
         assert x.grad is None and y.grad is None and loss.grad is None  # nothing is stored
+
+    def test_second_backward_on_a_tape_raises(self):
+        x = tracked(np.ones(3))
+        with Tape():
+            loss = ad.tensor_sum(ad.scale(x, 2.0))
+        backward(loss)
+        with pytest.raises(RuntimeError, match="^backward already ran on this tape$"):
+            backward(loss)
 
     def test_graph_is_freed_without_the_cyclic_collector(self, rng):
         model = build_model(["tl"], seed=1)

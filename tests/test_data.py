@@ -2,7 +2,6 @@ import gzip
 import hashlib
 import re
 import struct
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -392,14 +391,9 @@ class TestSyntheticDigits:
         for image, s, out in zip(batch, sigmas, blurred):
             assert out.tobytes() == ndimage.gaussian_filter(image, sigma=s).tobytes()
 
-    def test_transient_memory_stays_that_of_one_chunk(self):
+    def test_transient_memory_stays_that_of_one_chunk(self, traced_peak):
         synthetic_mnist(1, seed=0)  # templates and scipy's module state
-        tracemalloc.start()
-        try:
-            images, labels = synthetic_mnist(1000, seed=0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        (images, labels), peak = traced_peak(lambda: synthetic_mnist(1000, seed=0))
         # about 8 MiB in chunks of 128; 62 MiB rendered all at once, 16 MiB
         # in chunks of 256
         assert peak - images.nbytes - labels.nbytes < 12 * 2**20

@@ -122,6 +122,17 @@ class TestLossGrad:
         assert joint.shape == (model.param_count,) and joint.dtype == model.dtype
         np.testing.assert_allclose(joint, 0.25 * tl + 2.0 * br, rtol=1e-10, atol=1e-15)
 
+    def test_peak_memory_of_a_batch_400_float32_pass(self, traced_peak):
+        # 41.8 MiB while pool1's record kept conv1's output and its row
+        # maxima; 18.8 MiB with two masks in their place and each record
+        # freed once run: the largest gradient and one conv patch block
+        gen = np.random.default_rng(5)
+        model = build_model(["tl", "br"], seed=1, dtype=np.float32)
+        images = gen.uniform(size=(400, 1, 28, 28)).astype(np.float32)
+        labels = {"tl": gen.integers(0, 10, size=400)}
+        _, peak = traced_peak(lambda: model.loss_grad(images, labels, {"tl": 1.0}))
+        assert peak < 25 * 2**20
+
     def test_nothing_is_stored_on_the_parameters(self, batch):
         model = build_model(["tl", "br"], seed=4)
         before = model.snapshot()
