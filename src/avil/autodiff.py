@@ -53,11 +53,47 @@ ms in blocks, 2 cores). A tape keeps only the input: the kernel gradient
 rebuilds each block's patches and sums the per-block GEMMs, so it moves in
 the last bits against one whole-matrix GEMM; the output, the bias gradient
 and the input gradient do not.
+
+The encoder kernels split their work over ``_WORKERS`` threads, the cores
+this process may run on: the calling thread and a pool, each thread taking
+the next part as it finishes one. A worker runs only
+numpy on its own slices of arrays the caller made; every op, record and
+tape stays on the calling thread, so nothing a worker does is recorded and
+no worker enters an op. Each split computes every output element with the
+same operations in the same order as one thread, so results are
+byte-identical at any worker count:
+
+- ``conv2d`` forward: output-row blocks of ``_BLOCK_ELEMENTS / _WORKERS``
+  patch elements, each taken by the next free thread. A block's GEMM sums
+  over the patch rows (cin*k*k), which no split divides, and an output
+  element does not depend on how many columns its GEMM has (the tests pin
+  this for the model's shapes at batch 1 to 512).
+- ``conv2d`` kernel gradient: the blocks and their summation order stay
+  those of one thread; each worker owns the patch rows of a range of input
+  channels and sums their per-block GEMMs in block order. The summed
+  dimension is never split, and neither is conv1's gradient, which has one
+  input channel: cut by kernel row, its skinny GEMMs took longer on two
+  threads than whole on one (11.7 against 8.8 ms, float64, batch 256).
+- ``conv2d`` input gradient: input channels; each worker multiplies its own
+  rows of the kernel matrix and adds into its own channels of the gradient.
+- ``conv2d`` bias gradient, ``maxpool2`` (forward, masks and VJP) and
+  ``relu`` on 4-d inputs (forward and VJP): channels, elementwise or one
+  sum per channel.
+- ``linear``, ``cross_entropy_mean`` and the helpers run whole.
+
+An elementwise kernel splits only from ``_SPLIT_ELEMENTS`` elements,
+below which handing a part to a thread costs more than it saves. Each part
+runs under the caller's floating-point error state, and an exception in
+any part is raised to the caller. The kernels pay off with BLAS on one
+thread, which ``harness`` sets for a run (see there).
 """
 
 from __future__ import annotations
 
 import functools
+import os
+import queue
+import threading
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -184,6 +220,107 @@ def backward(loss):
 
 
 # ---------------------------------------------------------------------------
+# worker threads inside the encoder kernels
+
+
+def _cpu_count():
+    """The cores this process may run on; all of the machine's where that cannot be asked."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+# Threads that share each encoder kernel: the calling thread and _WORKERS - 1
+# pool threads.
+_WORKERS = _cpu_count()
+
+
+def _serve(inbox):
+    """A pool thread: run each (drain, error state, done queue) it is handed; post None or the exception."""
+    while True:
+        drain, errors, done = inbox.get()
+        failure = None
+        try:
+            with np.errstate(**errors):
+                drain()
+        except BaseException as exc:  # handed to the caller, which raises it
+            failure = exc
+        del drain  # before the caller goes on: the arrays its closure holds are the caller's to free
+        done.put(failure)
+
+
+@functools.cache  # one pool per worker count, started by the first split
+def _pool(workers):
+    """The inboxes of workers - 1 daemon threads, idle until handed work."""
+    inboxes = [queue.SimpleQueue() for _ in range(workers - 1)]
+    for inbox in inboxes:
+        threading.Thread(target=_serve, args=(inbox,), name="avil-kernel", daemon=True).start()
+    return inboxes
+
+
+def _split(fn, parts):
+    """[fn(part) for part in parts], shared by the calling thread and up to _WORKERS - 1 pool threads.
+
+    Each thread takes the next part as it finishes one, so a core that runs
+    slower does fewer parts. Returns once every part is done. A pool thread
+    runs under the caller's floating-point error state (numpy keeps it per
+    thread), and an exception raised in any part is raised here.
+    """
+    helpers = min(_WORKERS, len(parts)) - 1
+    if helpers < 1:
+        return [fn(part) for part in parts]
+    results = [None] * len(parts)
+    todo = enumerate(parts)  # shared: each next() on it is atomic under the GIL
+
+    def drain():
+        for i, part in todo:
+            results[i] = fn(part)
+
+    done = queue.SimpleQueue()
+    for inbox in _pool(_WORKERS)[:helpers]:
+        inbox.put((drain, np.geterr(), done))
+    try:
+        drain()
+    finally:
+        failures = [done.get() for _ in range(helpers)]
+    for exc in failures:
+        if exc is not None:
+            raise exc
+    return results
+
+
+def _spans(n, parts):
+    """range(n) cut into min(parts, n) contiguous slices (one when n is 0), sizes differing by at most one."""
+    parts = max(1, min(parts, n))
+    return [slice(n * i // parts, n * (i + 1) // parts) for i in range(parts)]
+
+
+# Elements below which an elementwise kernel runs whole. Splitting saved
+# nothing below it on 2 shared cores (a float32 maxpool2 of 512k input
+# elements took 0.41 ms whole and 0.40 ms split), and each split costs a
+# hand-off to a pool thread and back (0.05 ms).
+_SPLIT_ELEMENTS = 1 << 19
+
+
+def _workers_for(elements):
+    return _WORKERS if elements >= _SPLIT_ELEMENTS else 1
+
+
+def _channel_parts(a):
+    """Index tuples cutting a 4-d (b, c, h, w) array into a channel range per worker, else the whole array."""
+    if a.ndim != 4:
+        return [...]
+    return [(slice(None), cs) for cs in _spans(a.shape[1], _workers_for(a.size))]
+
+
+def _empty_in_layout(shape, strides, dtype):
+    """An empty array of ``shape`` whose axes lie in memory in the order ``strides`` gives them."""
+    order = np.argsort(strides, kind="stable")[::-1]  # outermost first
+    return np.empty(np.take(shape, order), dtype).transpose(np.argsort(order))
+
+
+# ---------------------------------------------------------------------------
 # operations
 
 
@@ -218,9 +355,9 @@ def linear(x, weight, bias):
 _BLOCK_ELEMENTS = 1 << 21
 
 
-def _row_blocks(ho, row_elements):
-    """Slices of output rows holding about _BLOCK_ELEMENTS patch elements each, at least one row."""
-    rows = max(1, _BLOCK_ELEMENTS // row_elements)
+def _row_blocks(ho, row_elements, workers=1):
+    """Slices of output rows holding about _BLOCK_ELEMENTS / workers patch elements each, at least one row."""
+    rows = max(1, _BLOCK_ELEMENTS // workers // row_elements)
     return [slice(r, min(r + rows, ho)) for r in range(0, ho, rows)]
 
 
@@ -235,15 +372,17 @@ def conv2d(x, kernels, bias):
     The output is computed one block of output rows at a time: the block's
     patch matrix, (cin*k*k, rows*wo*b) with rows in the kernel's (cin, ki,
     kj) order, is copied along rows wo*b long and multiplied straight into
-    the output rows, and the bias is added while they are in cache. A block
-    holds about ``_BLOCK_ELEMENTS`` patch elements and at least one output
+    the output rows, and the bias is added while they are in cache. Each
+    block goes to the next free worker thread, and holds about
+    ``_BLOCK_ELEMENTS / _WORKERS`` patch elements and at least one output
     row, so no temporary grows with k*k times the input: peak memory stays
     near that of the input, output and gradients, and no block reaches the
     32 MiB mmap threshold (see ``harness``) above which glibc maps and
     zero-fills fresh pages on every request. A tape keeps only the input.
-    The kernel gradient rebuilds each block's patches and sums the per-block
-    GEMMs, block by block; the input gradient forms one block's patch
-    gradient at a time and does its k*k shifted adds.
+    The kernel gradient rebuilds the patches of blocks of ``_BLOCK_ELEMENTS``
+    and sums the per-block GEMMs, block by block, each worker for its own
+    patch rows; the input gradient forms one block's patch gradient at a
+    time and does its k*k shifted adds, each worker for its own channels.
     """
     if x.data.ndim != 4 or kernels.data.ndim != 4:
         raise ShapeError(f"conv2d expects 4-d operands, got {x.shape} and {kernels.shape}")
@@ -259,20 +398,30 @@ def conv2d(x, kernels, bias):
     xt = np.ascontiguousarray(x.data.transpose(1, 2, 3, 0))
     win = sliding_window_view(xt, (k, k), axis=(1, 2))  # cin, ho, wo, b, k, k
     kmat = kernels.data.reshape(cout, -1)
-    blocks = _row_blocks(ho, kmat.shape[1] * wo * b)
+    row_elements = kmat.shape[1] * wo * b
     dtype = x.dtype
 
-    def patches(rs):
-        return np.ascontiguousarray(win[:, rs].transpose(0, 4, 5, 1, 2, 3)).reshape(kmat.shape[1], -1)
+    def patches(rs, cs=slice(None)):
+        """Patch rows of input channels cs, in (cin, ki, kj) order, for output rows rs."""
+        part = win[cs, rs]
+        return np.ascontiguousarray(part.transpose(0, 4, 5, 1, 2, 3)).reshape(len(part) * k * k, -1)
 
     def rows(a, rs):
         return a[:, rs].reshape(a.shape[0], -1)  # a view: a is (c, ho, wo, b) C-contiguous
 
     out = np.empty((cout, ho, wo, b), dtype=np.result_type(kmat, xt))
-    for rs in blocks:
+    shares = _row_blocks(ho, row_elements, _WORKERS)
+
+    def forward(rs):
         out_rows = rows(out, rs)
         np.matmul(kmat, patches(rs), out=out_rows)
         out_rows += bias.data[:, None]
+
+    _split(forward, shares)
+
+    # the backward GEMMs: one per block, each split by input channel
+    blocks = _row_blocks(ho, row_elements)
+    channels = _spans(cin, _WORKERS)
 
     def batch_innermost(g):
         return np.ascontiguousarray(g.transpose(1, 2, 3, 0))  # free when g is batch-innermost
@@ -280,13 +429,21 @@ def conv2d(x, kernels, bias):
     def d_kernels(g):
         # this GEMM orientation beat g @ patches.T on whole patch matrices at
         # batch 400, float32, 2 cores: 5.1 against 6.8-7.7 ms for conv1, 2.6
-        # against 4.3 ms for conv2
+        # against 4.3 ms for conv2. The summed dimension is never split.
         gt = batch_innermost(g)
-        parts = (patches(rs) @ rows(gt, rs).T for rs in blocks)
-        return functools.reduce(np.add, parts).T.reshape(cout, cin, k, k)
+
+        def channel_gradient(cs):
+            total = None
+            for rs in blocks:
+                block = patches(rs, cs) @ rows(gt, rs).T
+                total = block if total is None else np.add(total, block, out=total)
+            return total
+
+        return np.concatenate(_split(channel_gradient, channels)).T.reshape(cout, cin, k, k)
 
     def d_bias(g):
-        return batch_innermost(g).reshape(cout, -1).sum(axis=1)
+        sums = batch_innermost(g).reshape(cout, -1)
+        return np.concatenate(_split(lambda cs: sums[cs].sum(axis=1), _spans(cout, _workers_for(sums.size))))
 
     def d_x(g):
         # transposed convolution: scatter each output's patch gradient back
@@ -294,53 +451,82 @@ def conv2d(x, kernels, bias):
         # blocks go last to first, so every element of dx sums its terms in
         # (i, j) order, as one block would.
         gt = batch_innermost(g)
-        dx = np.zeros((cin, h, w, b), dtype=dtype)
-        for rs in reversed(blocks):
-            dcol = (kmat.T @ rows(gt, rs)).reshape(cin, k, k, -1, wo, b)
-            for i in range(k):
-                for j in range(k):
-                    dx[:, rs.start + i : rs.stop + i, j : j + wo] += dcol[:, i, j]
-            del dcol  # one block's patch gradient at a time, not two
+        dx = np.empty((cin, h, w, b), dtype=dtype)
+        kt = kmat.T.reshape(cin, k * k, cout)  # a view
+
+        def scatter(cs):
+            dxc, ktc = dx[cs], kt[cs].reshape(-1, cout)
+            dxc.fill(0)
+            for rs in reversed(blocks):
+                dcol = (ktc @ rows(gt, rs)).reshape(len(dxc), k, k, -1, wo, b)
+                for i in range(k):
+                    for j in range(k):
+                        dxc[:, rs.start + i : rs.stop + i, j : j + wo] += dcol[:, i, j]
+                del dcol  # one block's patch gradient at a time, not two
+
+        _split(scatter, channels)
         return dx.transpose(3, 0, 1, 2)
 
     return _make(out.transpose(3, 0, 1, 2), ((x, d_x), (kernels, d_kernels), (bias, d_bias)))
 
 
+def _windows(a):
+    """A (b, c, h, w) array as (b, c, h/2, 2, w/2, 2) 2x2 windows: splitting axes is a view in any layout."""
+    b, c, h, w = a.shape
+    return a.reshape(b, c, h // 2, 2, w // 2, 2)
+
+
 def maxpool2(x):
     """Non-overlapping 2x2 max pool; gradient goes to the first row-major argmax.
 
-    Under a tape with a tracked input, the record keeps two one-byte masks
-    of the output's shape, never the input: ``top``, the window's top row
-    holds its maximum, and ``left``, the chosen row's left element holds
-    that row's maximum. A tape-free call computes no masks.
+    The output is laid out like x, and so is the input gradient. Under a
+    tape with a tracked input, the record keeps two one-byte masks of the
+    output's shape, never the input: ``top``, the window's top row holds its
+    maximum, and ``left``, the chosen row's left element holds that row's
+    maximum. A tape-free call computes no masks. Forward and backward are
+    split by channel over the workers.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"maxpool2 expects a 4-d input, got {x.shape}")
     b, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2 requires even spatial dims, got {x.shape}")
-    pairs = x.data.reshape(b, c, h // 2, 2, w // 2, 2)  # a view in any memory layout
-    rows = np.maximum(pairs[..., 0], pairs[..., 1])  # b, c, h/2, 2, w/2: max of each window row
-    out = np.maximum(rows[:, :, :, 0], rows[:, :, :, 1])
-    if not x.tracked or active_tape() is None:
+    xd, strides, dtype = x.data, x.data.strides, x.dtype
+    taped = x.tracked and active_tape() is not None
+    out = _empty_in_layout((b, c, h // 2, w // 2), strides, dtype)
+    top = _empty_in_layout(out.shape, strides, bool) if taped else None
+    left = _empty_in_layout(out.shape, strides, bool) if taped else None
+
+    def pool(cs):
+        pairs = _windows(xd[cs])
+        rows = np.maximum(pairs[..., 0], pairs[..., 1])  # b, c, h/2, 2, w/2: max of each window row
+        np.maximum(rows[:, :, :, 0], rows[:, :, :, 1], out=out[cs])
+        if taped:
+            is_top = np.equal(rows[:, :, :, 0], out[cs], out=top[cs])
+            # each row's left element against that row's maximum, not the window's:
+            # they differ when only the top row holds a NaN
+            left_of_row = pairs[..., 0] == rows
+            np.bitwise_or(  # np.where took 20x as long
+                is_top & left_of_row[:, :, :, 0], ~is_top & left_of_row[:, :, :, 1], out=left[cs]
+            )
+
+    _split(pool, _channel_parts(xd))
+    if not taped:
         return Tensor(out)
-    top = rows[:, :, :, 0] == out
-    # each row's left element against that row's maximum, not the window's:
-    # they differ when only the top row holds a NaN
-    left_of_row = pairs[..., 0] == rows
-    left = (top & left_of_row[:, :, :, 0]) | (~top & left_of_row[:, :, :, 1])  # np.where took 20x as long
-    dtype = x.dtype
-    memory_order = np.argsort(x.data.strides, kind="stable")[::-1]  # x's axes, outermost first
 
     def d_x(g):
-        # laid out like x; the masks' order is ambiguous where the output has a size-1 axis
-        dx = np.empty(np.take((b, c, h, w), memory_order), dtype).transpose(np.argsort(memory_order))
-        win = dx.reshape(b, c, h // 2, 2, w // 2, 2)  # splitting axes is always a view
-        cols = (left, ~left)
-        for r, row in enumerate((top, ~top)):
-            for s, col in enumerate(cols):
-                np.multiply(g, row & col, out=win[:, :, :, r, :, s])
-        dx += 0.0  # g * False is -0.0 where g < 0; make every zero +0.0
+        dx = _empty_in_layout((b, c, h, w), strides, dtype)  # strides, not xd: the record keeps no input
+
+        def scatter(cs):
+            win = _windows(dx[cs])
+            is_left = left[cs]
+            cols = (is_left, ~is_left)
+            for r, row in enumerate((top[cs], ~top[cs])):
+                for s, col in enumerate(cols):
+                    np.multiply(g[cs], row & col, out=win[:, :, :, r, :, s])
+            win += 0.0  # g * False is -0.0 where g < 0; make every zero +0.0
+
+        _split(scatter, _channel_parts(dx))
         return dx
 
     return _make(out, ((x, d_x),))
@@ -351,12 +537,26 @@ def relu(x):
 
     Every zero of the output is +0.0 and +inf stays +inf. A NaN or -inf
     input gives NaN, not 0, so it reaches the loss; a training or tuning
-    pass whose loss or gradient is not finite fails its seed.
+    pass whose loss or gradient is not finite fails its seed. A 4-d input
+    is split by channel over the workers, forward and backward.
     """
-    mask = x.data > 0
-    out = x.data * mask
-    out += 0.0  # x * False is -0.0 where x < 0; make every zero +0.0
-    return _make(out, ((x, lambda g: g * mask),))
+    xd = x.data
+    mask = _empty_in_layout(xd.shape, xd.strides, bool)
+    out = _empty_in_layout(xd.shape, xd.strides, np.result_type(xd, mask))
+
+    def forward(cs):
+        np.greater(xd[cs], 0, out=mask[cs])
+        part = np.multiply(xd[cs], mask[cs], out=out[cs])
+        part += 0.0  # x * False is -0.0 where x < 0; make every zero +0.0
+
+    _split(forward, _channel_parts(xd))
+
+    def d_x(g):
+        dx = _empty_in_layout(g.shape, g.strides, np.result_type(g, mask))
+        _split(lambda cs: np.multiply(g[cs], mask[cs], out=dx[cs]), _channel_parts(g))
+        return dx
+
+    return _make(out, ((x, d_x),))
 
 
 def cross_entropy_mean(logits, labels):

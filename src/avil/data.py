@@ -211,9 +211,8 @@ def make_multimnist(images, labels, pair_seed, split):
         partner = rng.integers(0, n - 1, size=n)
         partner = partner + (partner >= np.arange(n))
     out = np.empty((n, 1, 28, 28), dtype=np.float32)
-    chunk = 4096
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
+    for lo in range(0, n, _CHUNK):  # a chunk's canvases and resize temporaries, not the set's
+        hi = min(lo + _CHUNK, n)
         canvas = np.zeros((hi - lo, CANVAS, CANVAS), dtype=np.float32)
         canvas[:, :28, :28] = images[lo:hi]
         np.maximum(canvas[:, SHIFT:, SHIFT:], images[partner[lo:hi]], out=canvas[:, SHIFT:, SHIFT:])
@@ -355,10 +354,11 @@ _DRAW_LOW, _DRAW_HIGH = np.ascontiguousarray(np.array(
     + [(18.0, 34.0), (0.3, 0.8), (0.75, 1.25)]  # displacement strength, blur sigma, contrast
 ).T)
 _DRAW_SPAN = _DRAW_HIGH - _DRAW_LOW
-# Images rendered per batch. The draws, sample coordinates and displacement
-# field of a whole set would take several times the float32 result (about
-# 60 MiB of temporaries for 1000 digits); a chunk of 128 holds them to about
-# 8 MiB whatever the set size.
+# Images rendered, or overlaid, per batch. The draws, sample coordinates and
+# displacement field of a whole set would take several times the float32
+# result (about 60 MiB of temporaries for 1000 digits); a chunk of 128 holds
+# them to about 8 MiB whatever the set size. The overlay's canvases and
+# resize temporaries are about 20 KiB an image.
 _CHUNK = 128
 
 

@@ -1,5 +1,8 @@
 import gc
 import itertools
+import os
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -664,3 +667,113 @@ class TestBackward:
         assert np.all(np.isfinite(out.data))
         big = Tensor(rng.standard_normal((4, 10)) * 500)
         assert np.isfinite(ad.cross_entropy_mean(big, np.zeros(4, dtype=np.int64)).data)
+
+
+def outputs_and_vjps(op, arrays, g):
+    """Bytes of an op's output and of each operand's VJP applied to g, all operands tracked."""
+    leaves = [Tensor(a, tracked=True) for a in arrays]
+    with Tape() as tape:
+        out = op(*leaves)
+    return [bits(out.data)] + [bits(vjp(g)) for _, vjp in tape._records[out.node]]
+
+
+class TestWorkers:
+    """Each encoder kernel split over worker threads computes every element as one thread does."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("batch", [1, 2, 8, 16, 64, 144, 256, 400, 512])
+    def test_every_kernel_is_bit_equal_at_1_and_2_workers(self, monkeypatch, batch, layout, dtype):
+        gen = np.random.default_rng(batch)
+
+        def normal(*shape):
+            return gen.standard_normal(shape).astype(dtype)
+
+        def activation(c, hw):  # an input in the layout under test
+            return LAYOUTS[layout](normal(batch, c, hw, hw))
+
+        def upstream(c, hw):  # batch-innermost, as the model hands gradients back
+            return LAYOUTS["batch-innermost"](normal(batch, c, hw, hw))
+
+        # the model's shapes
+        cases = [
+            ("conv1", ad.conv2d, (activation(1, 28), normal(10, 1, 5, 5), normal(10)), upstream(10, 24)),
+            ("conv2", ad.conv2d, (activation(10, 12), normal(20, 10, 5, 5), normal(20)), upstream(20, 8)),
+            ("pool1", ad.maxpool2, (activation(10, 24),), upstream(10, 12)),
+            ("pool2", ad.maxpool2, (activation(20, 8),), upstream(20, 4)),
+            ("relu1", ad.relu, (activation(10, 12),), upstream(10, 12)),
+            ("relu2", ad.relu, (activation(20, 4),), upstream(20, 4)),
+        ]
+        monkeypatch.setattr(ad, "_WORKERS", 1)
+        one = {name: outputs_and_vjps(op, arrays, g) for name, op, arrays, g in cases}
+        # every elementwise kernel splits, whatever its size
+        monkeypatch.setattr(ad, "_WORKERS", 2)
+        monkeypatch.setattr(ad, "_SPLIT_ELEMENTS", 0)
+        two = {name: outputs_and_vjps(op, arrays, g) for name, op, arrays, g in cases}
+        assert [name for name in one if one[name] != two[name]] == []
+
+    def test_conv_peak_memory_at_2_workers(self, monkeypatch, traced_peak):
+        monkeypatch.setattr(ad, "_WORKERS", 2)
+        TestConv2dReference().test_peak_memory_stays_within_a_few_row_blocks(traced_peak)
+
+    @staticmethod
+    def on_both_threads(worker_part):
+        """A part function for two parts: the caller's waits until a pool thread has started the other."""
+        caller, started = threading.get_ident(), threading.Event()
+
+        def part(p):
+            if threading.get_ident() == caller:
+                assert started.wait(10)
+                return "caller"
+            started.set()
+            return worker_part()
+
+        return part
+
+    def test_an_exception_in_a_worker_part_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(ad, "_WORKERS", 2)
+
+        def fail():
+            raise ValueError("worker part failed")
+
+        with pytest.raises(ValueError, match="^worker part failed$"):
+            ad._split(self.on_both_threads(fail), [0, 1])
+        # the pool runs the next split
+        assert sorted(ad._split(self.on_both_threads(lambda: "worker"), [0, 1])) == ["caller", "worker"]
+
+    def test_a_worker_part_runs_under_the_callers_error_state(self, monkeypatch):
+        monkeypatch.setattr(ad, "_WORKERS", 2)
+
+        def invalid():
+            return np.zeros(2) / np.zeros(2)
+
+        with np.errstate(invalid="raise"):
+            with pytest.raises(FloatingPointError, match="invalid"):
+                ad._split(self.on_both_threads(invalid), [0, 1])
+        with np.errstate(invalid="ignore"):
+            results = ad._split(self.on_both_threads(invalid), [0, 1])
+        (worker,) = [r for r in results if not isinstance(r, str)]
+        assert np.isnan(worker).all()
+
+    def test_every_part_runs_once_with_more_workers_than_cores(self, monkeypatch):
+        # the threads share one iterator over the parts and one results list
+        monkeypatch.setattr(ad, "_WORKERS", 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(200):
+                runs = []
+                results = ad._split(lambda part: runs.append(part) or part * part, list(range(16)))
+                assert sorted(runs) == list(range(16))
+                assert results == [part * part for part in range(16)]
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_the_worker_count_is_the_cores_this_process_may_use(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert ad._cpu_count() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert ad._cpu_count() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+        assert ad._cpu_count() == 1

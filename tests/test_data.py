@@ -186,6 +186,24 @@ class TestMakeMultimnist:
         assert ds.images.max() <= 1.0
 
 
+    @pytest.mark.parametrize("chunk", [1, 7, 300])
+    def test_bytes_do_not_depend_on_the_chunk(self, monkeypatch, rng, chunk):
+        images = rng.uniform(size=(300, 28, 28)).astype(np.float32)
+        labels = rng.integers(0, 10, size=300)
+        reference = make_multimnist(images, labels, pair_seed=4, split="train")
+        monkeypatch.setattr(datamod, "_CHUNK", chunk)
+        ds = make_multimnist(images, labels, pair_seed=4, split="train")
+        assert ds.images.tobytes() == reference.images.tobytes()
+        assert ds.labels["br"].tobytes() == reference.labels["br"].tobytes()
+
+    def test_transient_memory_stays_that_of_one_chunk(self, rng, traced_peak):
+        images = rng.uniform(size=(2640, 28, 28)).astype(np.float32)
+        labels = rng.integers(0, 10, size=2640)
+        ds, peak = traced_peak(lambda: make_multimnist(images, labels, pair_seed=1, split="train"))
+        # about 2.3 MiB over the result in chunks of 128, 47 MiB in chunks of 4096
+        assert peak - ds.images.nbytes < 6 * 2**20
+
+
 class TestMultiMnistSetShapes:
     def test_images_without_a_channel_axis_are_a_config_error(self):
         with pytest.raises(ConfigError, match=r"\(3, 28, 28\)"):

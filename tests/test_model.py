@@ -1,5 +1,7 @@
+import inspect
 import re
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from avil.model import (
     ENCODER_PARAMS,
     HEAD_PARAMS,
     ConfigError,
+    MultiHeadModel,
     UnknownTaskError,
     build_model,
     combine,
@@ -242,6 +245,41 @@ class TestEvalFeatures:
         assert taped.tape is not None
         assert net.eval_features(ds.images, 20) is memoized
         assert encoder_passes == [20]  # the fixture counts tape-free passes only
+
+
+class TestWorkerThreads:
+    def test_ops_and_model_methods_run_on_the_calling_thread_only(self, monkeypatch):
+        # a tracer that keeps one span stack for the process, as the
+        # benchmark's does, nests correctly only if they do
+        monkeypatch.setattr(ad, "_WORKERS", 2)
+        monkeypatch.setattr(ad, "_SPLIT_ELEMENTS", 0)  # every elementwise kernel splits
+        calls = []  # (name, thread) of every call
+
+        def recorded(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append((name, threading.get_ident()))
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        modules = (ad.__name__, MultiHeadModel.__module__)  # not what they import
+        for owner, prefix in ((ad, "ad"), (MultiHeadModel, "model")):
+            for name, fn in list(vars(owner).items()):
+                if inspect.isfunction(fn) and fn.__module__ in modules and not name.startswith("_"):
+                    monkeypatch.setattr(owner, name, recorded(f"{prefix}.{name}", fn))
+        splits = []  # parts per kernel split
+        split = ad._split
+        monkeypatch.setattr(ad, "_split", lambda fn, parts: splits.append(len(parts)) or split(fn, parts))
+
+        net = build_model(["tl", "br"], seed=1)
+        ds = toy_set(64, seed=2)
+        net.loss_grad(ds.images, ds.labels, {"tl": 1.0, "br": 0.5})
+        net.eval_features(ds.images, 32)
+        called = {name for name, _ in calls}
+        assert {"ad.conv2d", "ad.maxpool2", "ad.relu", "ad.linear", "ad.cross_entropy_mean", "ad.backward"} <= called
+        assert {"model.loss_grad", "model.eval_features", "model.features", "model.head_logits"} <= called
+        assert {thread for _, thread in calls} == {threading.get_ident()}
+        assert max(splits) >= 2  # and the kernels did split
 
 
 class TestCombine:

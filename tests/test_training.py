@@ -5,12 +5,13 @@ import platform
 import resource
 import struct
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from avil import cli, data, files, harness, model, optim, weighting
+from avil import autodiff, cli, data, files, harness, model, optim, weighting
 from conftest import toy_set
 from test_data import write_idx_pair
 
@@ -48,6 +49,17 @@ def test_rerun_writes_byte_identical_files(tmp_path, method):
     assert {"seed1.csv", "seed2.csv", "summary.csv", "aggregate.csv"} <= set(first)
     assert any(name.endswith(".ckpt") for name in first)
     assert first == second
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("method", harness.METHODS)
+def test_every_output_byte_is_the_same_at_1_and_2_workers(tmp_path, monkeypatch, method, dtype):
+    config = replace(TINY, method=method, dtype=dtype)
+    monkeypatch.setattr(autodiff, "_WORKERS", 1)
+    one = run_files(replace(config, out_dir=str(tmp_path / "one")))
+    monkeypatch.setattr(autodiff, "_WORKERS", 2)
+    monkeypatch.setattr(autodiff, "_SPLIT_ELEMENTS", 0)  # every elementwise kernel splits
+    assert run_files(replace(config, out_dir=str(tmp_path / "two"))) == one
 
 
 @pytest.mark.parametrize(
@@ -495,10 +507,41 @@ def no_c_library(name):
     raise OSError("cannot open the C library")
 
 
+def test_a_repeated_pass_at_2_workers_refaults_no_heap_memory(monkeypatch):
+    monkeypatch.setattr(autodiff, "_WORKERS", 2)
+    test_a_repeated_pass_refaults_no_heap_memory()
+
+
 @pytest.mark.parametrize("lookup", [no_mallopt, no_c_library])
 def test_keeping_the_heap_resident_is_a_silent_no_op_without_mallopt(monkeypatch, lookup):
     monkeypatch.setattr(harness.ctypes, "CDLL", lookup)
     harness._keep_heap_resident.__wrapped__()
+
+
+def openblas():
+    """numpy's bundled OpenBLAS, or None."""
+    found = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"))
+    return harness.ctypes.CDLL(str(found[0])) if found else None
+
+
+@pytest.mark.skipif(openblas() is None, reason="numpy carries no bundled OpenBLAS")
+def test_blas_runs_on_one_thread_after_a_run_starts(tmp_path):
+    harness.run_experiment(replace(TINY, method="singletask", epochs=0, out_dir=str(tmp_path)))
+    threads = openblas().scipy_openblas_get_num_threads64_
+    threads.restype = harness.ctypes.c_int
+    assert threads() == 1
+
+
+@pytest.mark.parametrize("lookup", [no_mallopt, no_c_library])
+def test_pinning_blas_to_one_thread_is_a_silent_no_op_without_the_library(monkeypatch, lookup):
+    monkeypatch.setattr(harness.ctypes, "CDLL", lookup)
+    harness._one_blas_thread.__wrapped__()
+
+
+def test_pinning_blas_to_one_thread_is_a_silent_no_op_when_numpy_carries_no_library(monkeypatch, tmp_path):
+    monkeypatch.setattr(harness.np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+    monkeypatch.setattr(harness.ctypes, "CDLL", lambda name: pytest.fail(f"opened {name}"))
+    harness._one_blas_thread.__wrapped__()
 
 
 def test_idx_source_with_wrong_image_counts_is_an_error(tmp_path):
