@@ -1,13 +1,17 @@
 import gzip
 import hashlib
+import os
 import re
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import ndimage
+from scipy import ndimage  # the oracle the synthetic digits mirror; avil itself never imports scipy
 
+import avil
 from avil import data as datamod
 from avil.data import (
     ConfigError,
@@ -185,6 +189,13 @@ class TestMakeMultimnist:
         assert ds.images.min() >= 0.0
         assert ds.images.max() <= 1.0
 
+    def test_each_image_is_the_resized_overlay_of_its_pair(self, rng):
+        images = rng.uniform(size=(10, 28, 28)).astype(np.float32)
+        ds = make_multimnist(images, np.arange(10), pair_seed=5, split="train")  # labels name the images
+        for i, (tl, br) in enumerate(zip(ds.labels["tl"], ds.labels["br"])):
+            canvas = overlay_pair(images[tl], images[br])
+            assert canvas.shape == (36, 36)
+            assert ds.images[i, 0].tobytes() == bilinear_resize(canvas[None], 28, 28)[0].tobytes()
 
     @pytest.mark.parametrize("chunk", [1, 7, 300])
     def test_bytes_do_not_depend_on_the_chunk(self, monkeypatch, rng, chunk):
@@ -409,12 +420,69 @@ class TestSyntheticDigits:
         for image, s, out in zip(batch, sigmas, blurred):
             assert out.tobytes() == ndimage.gaussian_filter(image, sigma=s).tobytes()
 
+    @pytest.mark.parametrize("chunk", [1, 7, 300])
+    def test_bytes_do_not_depend_on_the_render_chunk(self, monkeypatch, chunk):
+        monkeypatch.setattr(datamod, "_RENDER_CHUNK", chunk)
+        images, _ = synthetic_mnist(300, 3)
+        expected = "be630dcf73ca46ab9d01af4a8e4afdd3d6666e2d97eb4a18899c6ef69b434bb4"
+        assert hashlib.sha256(images.tobytes()).hexdigest() == expected
+
+    @pytest.mark.parametrize("m", [1, 5, 32])
+    def test_displacement_blur_equals_scipy_bit_for_bit(self, rng, m):
+        draws = rng.uniform(-1.0, 1.0, size=(m, datamod._DRAW_LOW.size))
+        field = draws[:, 6:-3].reshape(m, 2, 28, 28)  # the strided view the renderer blurs
+        blurred = datamod._separable_blur(field, datamod._DISPLACEMENT_WEIGHTS)
+        assert blurred.tobytes() == ndimage.gaussian_filter(field, sigma=(0, 0, 3.0, 3.0)).tobytes()
+
+    def test_warp_equals_scipy_bit_for_bit(self, rng):
+        labels = np.tile(np.arange(10), 3)
+        coords = rng.uniform(-3.0, 31.0, size=(len(labels), 2, 28, 28))
+        coords[:, :, 3] = np.round(coords[:, :, 3])  # whole pixels: weights 1 and 0
+        edges = np.array([0.0, 27.0, -0.0, -1e-12, 1e-12, 27.0 - 1e-12, 27.0 + 1e-12])
+        coords[:, 0, 0, : len(edges)] = edges  # on the row axis only
+        coords[:, 1, 1, : len(edges)] = edges  # on the column axis only
+        coords[:, :, 2, : len(edges)] = edges  # on both
+        templates = datamod._digit_templates()
+        expected = np.stack([
+            ndimage.map_coordinates(templates[d], c, order=1, mode="constant") for d, c in zip(labels, coords)
+        ])
+        assert datamod._warp(labels, coords.copy()).tobytes() == expected.tobytes()
+
+    def test_templates_are_zero_outside_the_glyph_box(self):
+        # _warp's clamped gather reads only zeros for a point outside the template
+        # as long as the two outermost rows and columns are zero
+        glyph = np.zeros((28, 28), dtype=bool)
+        glyph[3:24, 6:21] = True
+        templates = datamod._digit_templates()
+        assert not templates[:, ~glyph].any()
+        assert templates[:, glyph].any(axis=1).all()
+
     def test_transient_memory_stays_that_of_one_chunk(self, traced_peak):
-        synthetic_mnist(1, seed=0)  # templates and scipy's module state
+        synthetic_mnist(1, seed=0)  # the templates' cache
         (images, labels), peak = traced_peak(lambda: synthetic_mnist(1000, seed=0))
-        # about 8 MiB in chunks of 128; 62 MiB rendered all at once, 16 MiB
-        # in chunks of 256
+        # about 2.7 MiB in chunks of 32; 82 MiB rendered all at once, 10.5 MiB
+        # in chunks of 128
         assert peak - images.nbytes - labels.nbytes < 12 * 2**20
+
+
+def test_building_synthetic_pools_imports_no_scipy(tmp_path):
+    # importing scipy.ndimage took avil.cli from 30 to 57 MiB resident and 230 to 560 modules
+    code = "\n".join([
+        "import sys",
+        "import avil.cli",
+        "from avil import harness",
+        "config = harness.ExperimentConfig(data_source='synthetic', synthetic_n=40, synthetic_test_n=10)",
+        "train, test = harness.load_pools(config)",
+        "assert (len(train), len(test)) == (40, 10)",
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))",
+    ])
+    sources = str(Path(avil.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [sources, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.strip() == "[]"
 
 
 def _toy(n, rng):
