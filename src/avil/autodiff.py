@@ -19,12 +19,20 @@ output is dropped, without waiting for the cyclic garbage collector.
 
 A record keeps only what its rules read. ``conv2d`` keeps its input,
 ``relu`` its one-byte mask, and ``maxpool2`` two one-byte masks a quarter
-of its input's size each, never the input itself, so a conv output that
-feeds a pool is freed as soon as the pool's forward returns. ``linear``
-keeps its input and weight, ``cross_entropy_mean`` its softmax. ``backward``
-drops each record once its rules have run, so what they captured is freed
-during the replay; a tape supports one ``backward``, and a second raises
+of its input's size each, never the input itself. ``linear`` keeps its
+input and weight, ``cross_entropy_mean`` its softmax. ``backward`` drops
+each record once its rules have run, so what they captured is freed during
+the replay; a tape supports one ``backward``, and a second raises
 ``RuntimeError``.
+
+``conv2d(x, kernels, bias, pool=True)``, the encoder's form, is
+``maxpool2(conv2d(x, kernels, bias))`` bit for bit, but never holds the
+whole conv output: it pools each part of that output as the part is
+computed. Under a tape it makes two records. The first holds conv2d's
+rules and belongs to a node of the conv output that no tensor holds; the
+second, the pooled output's, holds maxpool2's masks and hands that node the
+conv output's gradient. ``backward`` follows node indices, so it needs no
+tensor there.
 
 Convolution is valid (no padding), stride 1, with cross-correlation
 semantics (no kernel flip). Max pooling is non-overlapping 2x2, ties broken
@@ -42,17 +50,19 @@ so does ``linear``'s input gradient, and the flatten of a batch-innermost
 activation to (batch, features) is a view in both directions.
 
 ``conv2d`` never holds a whole patch matrix, which is k*k = 25 times its
-input. It works one block of output rows at a time, each block about
-``_BLOCK_ELEMENTS`` = 2**21 patch elements (16 MiB in float64) and at least
-one row, so peak memory falls by more than half. The blocks also stay under
-the 32 MiB mmap threshold that ``harness`` fixes for a run (glibc's own
-ceiling otherwise): every request above it is served from freshly mapped,
-zero-filled pages, which cost more than the GEMM they feed (a float64
-batch-512 model forward took 55-68 ms with whole patch matrices and 27-34
-ms in blocks, 2 cores). A tape keeps only the input: the kernel gradient
-rebuilds each block's patches and sums the per-block GEMMs, so it moves in
-the last bits against one whole-matrix GEMM; the output, the bias gradient
-and the input gradient do not.
+input. Its forward works one part of the output at a time, the parts in
+flight together about ``_BLOCK_ELEMENTS`` = 2**21 elements (16 MiB in
+float64) of patches and, pooled, of part-sized conv outputs; its backward
+works in blocks of output rows of about ``_BLOCK_ELEMENTS`` patch elements
+and at least one row. So peak memory falls by more than half. Parts and
+blocks also stay under the 32 MiB mmap threshold that ``harness`` fixes for
+a run (glibc's own ceiling otherwise): every request above it is served
+from freshly mapped, zero-filled pages, which cost more than the GEMM they
+feed (a float64 batch-512 model forward took 55-68 ms with whole patch
+matrices and 27-34 ms in blocks, 2 cores). A tape keeps only the input: the
+kernel gradient rebuilds each block's patches and sums the per-block GEMMs,
+so it moves in the last bits against one whole-matrix GEMM; the output, the
+bias gradient and the input gradient do not.
 
 The encoder kernels split their work over ``_WORKERS`` threads, the cores
 this process may run on: the calling thread and a pool, each thread taking
@@ -63,10 +73,13 @@ no worker enters an op. Each split computes every output element with the
 same operations in the same order as one thread, so results are
 byte-identical at any worker count:
 
-- ``conv2d`` forward: output-row blocks of ``_BLOCK_ELEMENTS / _WORKERS``
-  patch elements, each taken by the next free thread. A block's GEMM sums
-  over the patch rows (cin*k*k), which no split divides, and an output
-  element does not depend on how many columns its GEMM has (the tests pin
+- ``conv2d`` forward: parts of about ``_BLOCK_ELEMENTS / _WORKERS``
+  elements, each taken by the next free thread: output rows of every image
+  (row pairs when pooled) or, where a pooled conv's row pair is too big,
+  that row pair of a span of images. Pooling is elementwise. A part's GEMM
+  sums over the patch rows (cin*k*k), which no split divides, and an output
+  element does not depend on how many columns its GEMM has while that count
+  is whole rows of its images (``_forward_parts`` says why; the tests pin
   this for the model's shapes at batch 1 to 512).
 - ``conv2d`` kernel gradient: the blocks and their summation order stay
   those of one thread; each worker owns the patch rows of a range of input
@@ -76,9 +89,9 @@ byte-identical at any worker count:
   threads than whole on one (11.7 against 8.8 ms, float64, batch 256).
 - ``conv2d`` input gradient: input channels; each worker multiplies its own
   rows of the kernel matrix and adds into its own channels of the gradient.
-- ``conv2d`` bias gradient, ``maxpool2`` (forward, masks and VJP) and
-  ``relu`` on 4-d inputs (forward and VJP): channels, elementwise or one
-  sum per channel.
+- ``conv2d`` bias gradient, ``maxpool2`` (forward, masks and VJP), the
+  pooled conv's VJP into its conv output, and ``relu`` on 4-d inputs
+  (forward and VJP): channels, elementwise or one sum per channel.
 - ``linear``, ``cross_entropy_mean`` and the helpers run whole.
 
 An elementwise kernel splits only from ``_SPLIT_ELEMENTS`` elements,
@@ -171,17 +184,25 @@ class Tape:
         return len(self._records) - 1
 
 
+def _record(rules):
+    """Record the rules of the tracked operands on the active tape: the new node's index, else None."""
+    tape = active_tape()
+    if tape is None or not any(t.tracked for t, _ in rules):
+        return None
+    return tape.record(tuple((t.node if t.tape is tape else t, fn) for t, fn in rules if t.tracked))
+
+
+def _output(data, node):
+    """``data`` as an op output, tracked at ``node`` of the active tape unless node is None."""
+    out = Tensor(data)
+    if node is not None:
+        out.tracked, out.tape, out.node = True, active_tape(), node
+    return out
+
+
 def _make(data, rules):
     """Wrap an op result, recording the rules of tracked operands if a tape is active."""
-    out = Tensor(data)
-    tape = active_tape()
-    if tape is not None and any(t.tracked for t, _ in rules):
-        out.tracked = True
-        out.tape = tape
-        out.node = tape.record(
-            tuple((t.node if t.tape is tape else t, fn) for t, fn in rules if t.tracked)
-        )
-    return out
+    return _output(data, _record(rules))
 
 
 def backward(loss):
@@ -355,34 +376,74 @@ def linear(x, weight, bias):
 _BLOCK_ELEMENTS = 1 << 21
 
 
-def _row_blocks(ho, row_elements, workers=1):
-    """Slices of output rows holding about _BLOCK_ELEMENTS / workers patch elements each, at least one row."""
-    rows = max(1, _BLOCK_ELEMENTS // workers // row_elements)
+def _row_blocks(ho, row_elements):
+    """Slices of output rows holding about _BLOCK_ELEMENTS patch elements each, at least one row."""
+    rows = max(1, _BLOCK_ELEMENTS // row_elements)
     return [slice(r, min(r + rows, ho)) for r in range(0, ho, rows)]
 
 
-def conv2d(x, kernels, bias):
+def _forward_parts(ho, b, row_elements, step):
+    """(output rows, images) slices of a conv forward, parts of about _BLOCK_ELEMENTS / _WORKERS elements.
+
+    ``row_elements`` is what one output row of one image needs. A part takes
+    a multiple of ``step`` whole rows of every image while ``step`` rows
+    fit, the last part maybe fewer; else ``step`` rows of a span of images,
+    the spans of a batch differing by at most one image. A plain conv
+    (``step`` 1) takes at least one row of every image, as its GEMM writes
+    straight into its output's rows.
+
+    Images, not columns, are cut so that a part's GEMM has whole rows of
+    each of its images as columns. Numpy's bundled OpenBLAS, on an AVX-512
+    Xeon, gives some columns of a small GEMM (under about 10**6
+    multiply-adds) other last bits when their count is not a multiple of 8
+    (float64) or 16 (float32). A pooled row pair of the model's convs is 48
+    or 16 columns per image; cut into column pairs, odd batches gave parts
+    of 4 columns per image, whose outputs moved at 3 or more workers.
+    """
+    per_part = _BLOCK_ELEMENTS // _WORKERS // row_elements  # rows of one image
+    rows = per_part // b // step * step
+    if rows or step == 1:
+        rows = max(rows, 1)
+        return [(slice(r, min(r + rows, ho)), slice(0, b)) for r in range(0, ho, rows)]
+    images = max(1, per_part // step)  # at most, per part
+    spans = _spans(b, -(-b // images))
+    return [(slice(r, r + step), span) for r in range(0, ho, step) for span in spans]
+
+
+def conv2d(x, kernels, bias, pool=False):
     """Valid stride-1 cross-correlation of x[b,cin,h,w] with kernels[cout,cin,k,k].
+
+    With ``pool=True`` returns ``maxpool2(conv2d(x, kernels, bias))``, bit
+    for bit and in both gradients' layouts, without ever holding the whole
+    conv output; the conv output must have even spatial dims.
 
     Accepts x in any layout and lays it out batch-innermost as (cin, h, w, b),
     which is free for an activation and one small copy for the images. The
     output and the input gradient are (b, c, h, w) views of batch-innermost
     (c, h, w, b) memory.
 
-    The output is computed one block of output rows at a time: the block's
-    patch matrix, (cin*k*k, rows*wo*b) with rows in the kernel's (cin, ki,
-    kj) order, is copied along rows wo*b long and multiplied straight into
-    the output rows, and the bias is added while they are in cache. Each
-    block goes to the next free worker thread, and holds about
-    ``_BLOCK_ELEMENTS / _WORKERS`` patch elements and at least one output
-    row, so no temporary grows with k*k times the input: peak memory stays
-    near that of the input, output and gradients, and no block reaches the
-    32 MiB mmap threshold (see ``harness``) above which glibc maps and
-    zero-fills fresh pages on every request. A tape keeps only the input.
-    The kernel gradient rebuilds the patches of blocks of ``_BLOCK_ELEMENTS``
-    and sums the per-block GEMMs, block by block, each worker for its own
-    patch rows; the input gradient forms one block's patch gradient at a
-    time and does its k*k shifted adds, each worker for its own channels.
+    The output is computed one part at a time (``_forward_parts``): output
+    rows of every image or, where a pooled conv's row pair is too big, that
+    row pair of a span of images. The part's patch matrix, (cin*k*k,
+    rows*wo*images) with rows in the kernel's (cin, ki, kj) order, is copied
+    along batch-innermost rows and multiplied into the part's conv outputs,
+    and the bias is added while they are in cache. A plain conv multiplies
+    straight into its output's rows; a pooled one into a part-sized buffer,
+    which it pools into its output there (and into the masks, under a tape).
+    Each part goes to the next free worker thread, and holds about
+    ``_BLOCK_ELEMENTS / _WORKERS`` elements of patches and conv buffer, so no
+    temporary grows with k*k times the input: peak memory stays near that of
+    the input, output and gradients, and no part reaches the 32 MiB mmap
+    threshold (see ``harness``) above which glibc maps and zero-fills fresh
+    pages on every request.
+
+    A tape keeps only the input. The kernel gradient rebuilds the patches
+    of blocks of ``_BLOCK_ELEMENTS`` and sums the per-block GEMMs, block by
+    block, each worker for its own patch rows; the input gradient forms one
+    block's patch gradient at a time and does its k*k shifted adds, each
+    worker for its own channels. A pooled conv records these rules on a
+    node of the conv output that no tensor holds, and maxpool2's mask
+    scatter on its output, whose gradient it hands that node.
     """
     if x.data.ndim != 4 or kernels.data.ndim != 4:
         raise ShapeError(f"conv2d expects 4-d operands, got {x.shape} and {kernels.shape}")
@@ -395,32 +456,44 @@ def conv2d(x, kernels, bias):
     if bias.shape != (cout,):
         raise ShapeError(f"conv2d bias shape {bias.shape} does not match kernels {kernels.shape}")
     ho, wo = h - k + 1, w - k + 1
+    if pool and (ho % 2 or wo % 2):
+        raise ShapeError(f"conv2d pool=True requires an even conv output, got {ho}x{wo} from input {x.shape}")
     xt = np.ascontiguousarray(x.data.transpose(1, 2, 3, 0))
     win = sliding_window_view(xt, (k, k), axis=(1, 2))  # cin, ho, wo, b, k, k
     kmat = kernels.data.reshape(cout, -1)
-    row_elements = kmat.shape[1] * wo * b
     dtype = x.dtype
+    out_dtype = np.result_type(kmat, xt)
 
-    def patches(rs, cs=slice(None)):
-        """Patch rows of input channels cs, in (cin, ki, kj) order, for output rows rs."""
-        part = win[cs, rs]
+    def patches(rs, images=slice(None), chans=slice(None)):
+        """Patch rows of input channels chans, in (cin, ki, kj) order, for output rows rs of some images."""
+        part = win[chans, rs, :, images]
         return np.ascontiguousarray(part.transpose(0, 4, 5, 1, 2, 3)).reshape(len(part) * k * k, -1)
 
     def rows(a, rs):
         return a[:, rs].reshape(a.shape[0], -1)  # a view: a is (c, ho, wo, b) C-contiguous
 
-    out = np.empty((cout, ho, wo, b), dtype=np.result_type(kmat, xt))
-    shares = _row_blocks(ho, row_elements, _WORKERS)
+    def bchw(a):
+        return a.transpose(3, 0, 1, 2)  # the (b, c, h, w) view of (c, h, w, b) memory
 
-    def forward(rs):
-        out_rows = rows(out, rs)
-        np.matmul(kmat, patches(rs), out=out_rows)
-        out_rows += bias.data[:, None]
+    taped = active_tape() is not None and any(t.tracked for t in (x, kernels, bias))
+    out = np.empty((cout, ho // 2, wo // 2, b) if pool else (cout, ho, wo, b), dtype=out_dtype)
+    masks = [np.empty(out.shape, dtype=bool) for _ in range(2)] if pool and taped else []
 
-    _split(forward, shares)
+    def forward(part):
+        rs, images = part
+        conv = np.matmul(kmat, patches(rs, images), out=None if pool else rows(out, rs))
+        conv += bias.data[:, None]
+        if pool:
+            pooled = (slice(None), slice(rs.start // 2, rs.stop // 2), slice(None), images)
+            conv = bchw(conv.reshape(cout, rs.stop - rs.start, wo, -1))
+            _pool_into(conv, *(bchw(a[pooled]) for a in [out, *masks]))
+
+    # per output position of an image a part holds a patch column and, pooled, a conv buffer column
+    row_elements = (kmat.shape[1] + (cout if pool else 0)) * wo
+    _split(forward, _forward_parts(ho, b, row_elements, 2 if pool else 1))
 
     # the backward GEMMs: one per block, each split by input channel
-    blocks = _row_blocks(ho, row_elements)
+    blocks = _row_blocks(ho, kmat.shape[1] * wo * b)
     channels = _spans(cin, _WORKERS)
 
     def batch_innermost(g):
@@ -435,7 +508,7 @@ def conv2d(x, kernels, bias):
         def channel_gradient(cs):
             total = None
             for rs in blocks:
-                block = patches(rs, cs) @ rows(gt, rs).T
+                block = patches(rs, chans=cs) @ rows(gt, rs).T
                 total = block if total is None else np.add(total, block, out=total)
             return total
 
@@ -465,15 +538,57 @@ def conv2d(x, kernels, bias):
                 del dcol  # one block's patch gradient at a time, not two
 
         _split(scatter, channels)
-        return dx.transpose(3, 0, 1, 2)
+        return bchw(dx)
 
-    return _make(out.transpose(3, 0, 1, 2), ((x, d_x), (kernels, d_kernels), (bias, d_bias)))
+    rules = ((x, d_x), (kernels, d_kernels), (bias, d_bias))
+    if not pool:
+        return _make(bchw(out), rules)
+    if not taped:
+        return Tensor(bchw(out))
+    top, left = (bchw(m) for m in masks)
+
+    def d_conv(g):
+        return _unpool(g, top, left, bchw(np.empty((cout, ho, wo, b), dtype=out_dtype)))
+
+    conv_node = _record(rules)  # the conv output's node: no tensor holds that output
+    return _output(bchw(out), active_tape().record(((conv_node, d_conv),)))
 
 
 def _windows(a):
     """A (b, c, h, w) array as (b, c, h/2, 2, w/2, 2) 2x2 windows: splitting axes is a view in any layout."""
     b, c, h, w = a.shape
     return a.reshape(b, c, h // 2, 2, w // 2, 2)
+
+
+def _pool_into(xd, out, top=None, left=None):
+    """maxpool2's forward: the 2x2 window maxima of (b, c, h, w) xd into out, and its masks if given."""
+    pairs = _windows(xd)
+    rows = np.maximum(pairs[..., 0], pairs[..., 1])  # b, c, h/2, 2, w/2: max of each window row
+    np.maximum(rows[:, :, :, 0], rows[:, :, :, 1], out=out)
+    if top is not None:
+        is_top = np.equal(rows[:, :, :, 0], out, out=top)
+        # each row's left element against that row's maximum, not the window's:
+        # they differ when only the top row holds a NaN
+        left_of_row = pairs[..., 0] == rows
+        np.bitwise_or(  # np.where took 20x as long
+            is_top & left_of_row[:, :, :, 0], ~is_top & left_of_row[:, :, :, 1], out=left
+        )
+
+
+def _unpool(g, top, left, dx):
+    """maxpool2's VJP: g scattered through the masks into the empty (b, c, h, w) dx, split by channel."""
+
+    def scatter(cs):
+        win = _windows(dx[cs])
+        is_left = left[cs]
+        cols = (is_left, ~is_left)
+        for r, row in enumerate((top[cs], ~top[cs])):
+            for s, col in enumerate(cols):
+                np.multiply(g[cs], row & col, out=win[:, :, :, r, :, s])
+        win += 0.0  # g * False is -0.0 where g < 0; make every zero +0.0
+
+    _split(scatter, _channel_parts(dx))
+    return dx
 
 
 def maxpool2(x):
@@ -494,40 +609,14 @@ def maxpool2(x):
     xd, strides, dtype = x.data, x.data.strides, x.dtype
     taped = x.tracked and active_tape() is not None
     out = _empty_in_layout((b, c, h // 2, w // 2), strides, dtype)
-    top = _empty_in_layout(out.shape, strides, bool) if taped else None
-    left = _empty_in_layout(out.shape, strides, bool) if taped else None
-
-    def pool(cs):
-        pairs = _windows(xd[cs])
-        rows = np.maximum(pairs[..., 0], pairs[..., 1])  # b, c, h/2, 2, w/2: max of each window row
-        np.maximum(rows[:, :, :, 0], rows[:, :, :, 1], out=out[cs])
-        if taped:
-            is_top = np.equal(rows[:, :, :, 0], out[cs], out=top[cs])
-            # each row's left element against that row's maximum, not the window's:
-            # they differ when only the top row holds a NaN
-            left_of_row = pairs[..., 0] == rows
-            np.bitwise_or(  # np.where took 20x as long
-                is_top & left_of_row[:, :, :, 0], ~is_top & left_of_row[:, :, :, 1], out=left[cs]
-            )
-
-    _split(pool, _channel_parts(xd))
+    masks = [_empty_in_layout(out.shape, strides, bool) for _ in range(2)] if taped else []
+    _split(lambda cs: _pool_into(xd[cs], *(a[cs] for a in [out, *masks])), _channel_parts(xd))
     if not taped:
         return Tensor(out)
+    top, left = masks
 
     def d_x(g):
-        dx = _empty_in_layout((b, c, h, w), strides, dtype)  # strides, not xd: the record keeps no input
-
-        def scatter(cs):
-            win = _windows(dx[cs])
-            is_left = left[cs]
-            cols = (is_left, ~is_left)
-            for r, row in enumerate((top[cs], ~top[cs])):
-                for s, col in enumerate(cols):
-                    np.multiply(g[cs], row & col, out=win[:, :, :, r, :, s])
-            win += 0.0  # g * False is -0.0 where g < 0; make every zero +0.0
-
-        _split(scatter, _channel_parts(dx))
-        return dx
+        return _unpool(g, top, left, _empty_in_layout((b, c, h, w), strides, dtype))  # strides: no input kept
 
     return _make(out, ((x, d_x),))
 

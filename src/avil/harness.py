@@ -120,6 +120,8 @@ class ExperimentConfig:
         for name in ("batch_size", "tune_steps", "diw_patience", "eval_batch_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.train_subset is not None and self.train_subset < 1:
+            raise ConfigError(f"train_subset must be >= 1, got {self.train_subset}")
         for name in ("learning_rate", "meta_learning_rate", "clamp_floor", "diw_eta"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
@@ -426,8 +428,9 @@ _M_ARENA_MAX = -8
 # Free heap memory kept before any is returned: well above what one pass frees.
 _HEAP_TRIM_THRESHOLD = 256 << 20
 # Requests this large are mapped fresh: glibc's own dynamic ceiling on 64-bit,
-# above every temporary made here (the largest, a float64 batch-512 conv1
-# output, is 23.6 MB).
+# above every temporary made here. A forward pass holds no whole conv output;
+# the largest temporary is the gradient of one, conv1's in a float64
+# batch-512 backward (23.6 MB), then a 16 MiB float64 block of conv patches.
 _HEAP_MMAP_THRESHOLD = 32 << 20
 
 

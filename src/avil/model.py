@@ -3,7 +3,9 @@
 Encoder: conv 10@5x5 -> maxpool 2x2 -> relu -> conv 20@5x5 -> maxpool 2x2
 -> relu -> flatten(320) -> fc 320x50 -> relu. One linear 50x10 head per
 task. 28x28 input gives 24 -> 12 -> 8 -> 4 spatial sizes, hence the 320
-(=20*4*4) flatten width.
+(=20*4*4) flatten width. Each conv pools as it goes (``conv2d`` with
+``pool=True``), so no forward pass holds a whole conv output and a tape
+keeps none: the conv output's node on the tape has no tensor.
 
 Parameters are exposed as a flat "parameter vector" in a canonical fixed
 order: encoder parameters first (conv1 w/b, conv2 w/b, fc w/b), then each
@@ -135,9 +137,12 @@ class MultiHeadModel:
         Under an active tape the result is differentiable with respect to
         the encoder parameters.
         """
-        x = images if isinstance(images, ad.Tensor) else ad.Tensor(np.asarray(images, dtype=self.dtype))
-        x = ad.relu(ad.maxpool2(ad.conv2d(x, self._encoder["conv1_w"], self._encoder["conv1_b"])))
-        x = ad.relu(ad.maxpool2(ad.conv2d(x, self._encoder["conv2_w"], self._encoder["conv2_b"])))
+        if isinstance(images, ad.Tensor):
+            x = images
+        else:  # converted straight into conv2d's batch-innermost layout: one copy, not two
+            x = ad.Tensor(np.moveaxis(np.moveaxis(np.asarray(images), 0, -1).astype(self.dtype, order="C"), -1, 0))
+        x = ad.relu(ad.conv2d(x, self._encoder["conv1_w"], self._encoder["conv1_b"], pool=True))
+        x = ad.relu(ad.conv2d(x, self._encoder["conv2_w"], self._encoder["conv2_b"], pool=True))
         x = ad.reshape(x, (x.shape[0], ENCODER_SHAPES[4][1][0]))
         return ad.relu(ad.linear(x, self._encoder["fc_w"], self._encoder["fc_b"]))
 

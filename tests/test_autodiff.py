@@ -371,6 +371,69 @@ class TestMaxpool2:
         assert_gradients_close(grads[xt], numeric, rtol=1e-5)
 
 
+def maxpool2_of_conv2d(x, k, b):
+    return ad.maxpool2(ad.conv2d(x, k, b))
+
+
+def pooled_conv2d(x, k, b):
+    return ad.conv2d(x, k, b, pool=True)
+
+
+class TestPooledConv:
+    """``conv2d(pool=True)`` is ``maxpool2(conv2d(...))`` bit for bit: output, gradients and their layouts."""
+
+    # the model's shapes at batch 16, and rows of one image per forward part
+    # (at 2 workers) that cut conv1's 24 or conv2's 8 output rows into runs
+    # of row pairs ending in a short run, or each row pair into image spans
+    SHAPES = {"conv1": ((16, 1, 28, 28), (10, 1, 5, 5)), "conv2": ((16, 10, 12, 12), (20, 10, 5, 5))}
+    CUTS = {
+        ("conv1", "rows"): (160, [10, 10, 4], [16]),
+        ("conv1", "images"): (14, [2] * 12, [5, 5, 6]),
+        ("conv2", "rows"): (96, [6, 2], [16]),
+        ("conv2", "images"): (12, [2] * 4, [5, 5, 6]),
+    }
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layout", ["contiguous", "batch-innermost"])
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    @pytest.mark.parametrize("cut", ["whole", "rows", "images"])
+    def test_bit_equal_to_maxpool2_of_conv2d(self, monkeypatch, dtype, layout, shape, cut):
+        gen = np.random.default_rng(21)
+        x_shape, k_shape = self.SHAPES[shape]
+        batch, cout, ho = x_shape[0], k_shape[0], x_shape[2] - k_shape[2] + 1
+        x = LAYOUTS[layout](gen.standard_normal(x_shape).astype(dtype))
+        k, b = gen.standard_normal(k_shape).astype(dtype), gen.standard_normal(cout).astype(dtype)
+        g = gen.standard_normal((batch, cout, ho // 2, ho // 2)).astype(dtype)
+        whole = outputs_and_vjps(maxpool2_of_conv2d, (x, k, b), g)
+        if cut != "whole":
+            per_part, row_sizes, span_sizes = self.CUTS[shape, cut]
+            row_elements = (k[0].size + cout) * ho  # a patch and a conv buffer column per position
+            monkeypatch.setattr(ad, "_WORKERS", 2)
+            monkeypatch.setattr(ad, "_BLOCK_ELEMENTS", 2 * per_part * row_elements)
+            parts = ad._forward_parts(ho, batch, row_elements, 2)
+            rows = dict.fromkeys((rs.start, rs.stop) for rs, _ in parts)
+            spans = dict.fromkeys((images.start, images.stop) for _, images in parts)
+            assert [stop - start for start, stop in rows] == row_sizes
+            assert [stop - start for start, stop in spans] == span_sizes
+        # the output, the conv output's gradient and the gradients of x, k and b;
+        # the kernel gradient's GEMMs follow _BLOCK_ELEMENTS: compare within one setting
+        pooled = outputs_and_vjps(pooled_conv2d, (x, k, b), g)
+        assert pooled == outputs_and_vjps(maxpool2_of_conv2d, (x, k, b), g)
+        assert pooled[0] == whole[0]  # the output does not depend on the cut
+
+    def test_odd_conv_output_rejected(self):
+        with pytest.raises(ShapeError, match="even"):
+            ad.conv2d(tracked(np.ones((1, 1, 7, 8))), tracked(np.ones((1, 1, 2, 2))), tracked(np.zeros(1)), pool=True)
+
+    def test_tape_free_call_records_nothing(self, rng):
+        args = [tracked(rng.standard_normal(s)) for s in ((2, 1, 6, 6), (3, 1, 3, 3), (3,))]
+        out = ad.conv2d(*args, pool=True)
+        assert out.tape is None and not out.tracked and out.shape == (2, 3, 2, 2)
+        with Tape() as tape:
+            out = ad.conv2d(*[Tensor(a.data) for a in args], pool=True)
+        assert tape._records == [] and out.tape is None and not out.tracked
+
+
 class TestRelu:
     def test_elementwise(self):
         np.testing.assert_array_equal(ad.relu(tracked([-1.0, 0.0, 2.0])).data, [0.0, 0.0, 2.0])
@@ -541,41 +604,43 @@ def is_batch_innermost(a):
 class TestLayout:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_every_activation_and_activation_gradient_is_batch_innermost(self, monkeypatch, dtype):
-        seen = []  # (what, op output shape, array) for every 4-d array
-        make = ad._make
+        seen = []  # (what, array) for every 4-d array
+        output, record = ad._output, Tape.record
 
-        def recording_make(data, rules):
+        def recording_output(data, node):
+            if data.ndim == 4:
+                seen.append(("output", data))
+            return output(data, node)
+
+        def recording_record(tape, rules):
             def wrap(operand, vjp, first):
-                from_op = operand.tape is not None  # an activation, not a leaf
-
                 def recorded(g):
                     contrib = vjp(g)
                     if first and g.ndim == 4:
-                        seen.append(("output gradient", data.shape, g))
-                    if from_op and contrib.ndim == 4:
-                        seen.append(("input gradient", data.shape, contrib))
+                        seen.append(("output gradient", g))
+                    if isinstance(operand, int) and contrib.ndim == 4:  # a node's, not a leaf's
+                        seen.append(("input gradient", contrib))
                     return contrib
 
                 return recorded
 
-            if data.ndim == 4:
-                seen.append(("output", data.shape, data))
-            rules = [(t, fn) for t, fn in rules if t.tracked]
-            return make(data, tuple((t, wrap(t, fn, i == 0)) for i, (t, fn) in enumerate(rules)))
+            return record(tape, tuple((t, wrap(t, fn, i == 0)) for i, (t, fn) in enumerate(rules)))
 
-        monkeypatch.setattr(ad, "_make", recording_make)
+        monkeypatch.setattr(ad, "_output", recording_output)
+        monkeypatch.setattr(Tape, "record", recording_record)
         model = build_model(["tl", "br"], seed=3, dtype=dtype)
         images = np.random.default_rng(3).uniform(size=(5, 1, 28, 28)).astype(dtype)
         with Tape():
             loss = ad.cross_entropy_mean(model.forward(images, "tl"), np.arange(5))
         backward(loss)
-        # conv, pool and relu twice each: six outputs, the six gradients
-        # handed to them, and the six input gradients they and the flatten
-        # hand back (conv1's input, the images, is not tracked)
-        assert [what for what, _, _ in seen].count("output") == 6
-        assert [what for what, _, _ in seen].count("output gradient") == 6
-        assert [what for what, _, _ in seen].count("input gradient") == 6
-        wrong = [(what, shape, a.strides) for what, shape, a in seen if not is_batch_innermost(a)]
+        # a pooled conv and a relu twice each: four outputs (no tensor holds
+        # a conv output). Relu, pool and conv records twice each: the six
+        # gradients handed to them, and the six input gradients they and the
+        # flatten hand back (conv1's input, the images, is not tracked)
+        assert [what for what, _ in seen].count("output") == 4
+        assert [what for what, _ in seen].count("output gradient") == 6
+        assert [what for what, _ in seen].count("input gradient") == 6
+        wrong = [(what, a.shape, a.strides) for what, a in seen if not is_batch_innermost(a)]
         assert wrong == []
 
 
@@ -670,11 +735,24 @@ class TestBackward:
 
 
 def outputs_and_vjps(op, arrays, g):
-    """Bytes of an op's output and of each operand's VJP applied to g, all operands tracked."""
+    """Bytes and strides of an op's output and of each operand's VJP applied to g, all operands tracked.
+
+    A VJP into a node of the same tape (an op output, such as a pooled
+    conv's conv output that no tensor holds) is followed into that node's
+    VJPs.
+    """
     leaves = [Tensor(a, tracked=True) for a in arrays]
     with Tape() as tape:
         out = op(*leaves)
-    return [bits(out.data)] + [bits(vjp(g)) for _, vjp in tape._records[out.node]]
+
+    def vjps(node, g):
+        for operand, vjp in tape._records[node]:
+            contrib = vjp(g)
+            yield bits(contrib), contrib.strides
+            if isinstance(operand, int):
+                yield from vjps(operand, contrib)
+
+    return [(bits(out.data), out.data.strides), *vjps(out.node, g)]
 
 
 class TestWorkers:
@@ -699,6 +777,8 @@ class TestWorkers:
         cases = [
             ("conv1", ad.conv2d, (activation(1, 28), normal(10, 1, 5, 5), normal(10)), upstream(10, 24)),
             ("conv2", ad.conv2d, (activation(10, 12), normal(20, 10, 5, 5), normal(20)), upstream(20, 8)),
+            ("pooled conv1", pooled_conv2d, (activation(1, 28), normal(10, 1, 5, 5), normal(10)), upstream(10, 12)),
+            ("pooled conv2", pooled_conv2d, (activation(10, 12), normal(20, 10, 5, 5), normal(20)), upstream(20, 4)),
             ("pool1", ad.maxpool2, (activation(10, 24),), upstream(10, 12)),
             ("pool2", ad.maxpool2, (activation(20, 8),), upstream(20, 4)),
             ("relu1", ad.relu, (activation(10, 12),), upstream(10, 12)),

@@ -100,6 +100,19 @@ class TestForward:
         assert np.any(tl_block != 0.0)
         assert np.any(grad[:ENCODER_PARAMS] != 0.0)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_peak_memory_of_a_tape_free_float64_batch_512_pass(self, monkeypatch, traced_peak, workers):
+        # 42.7 MiB while conv1's whole output (22.5 MiB) was made only to be
+        # pooled; 21.8 MiB with pooling inside the conv: the float64 images,
+        # conv1's pooled output and the parts in flight, at most
+        # _BLOCK_ELEMENTS elements of patches and conv buffers
+        monkeypatch.setattr(ad, "_WORKERS", workers)
+        model = build_model(["tl", "br"], seed=1, dtype=np.float64)
+        images = np.random.default_rng(5).uniform(size=(512, 1, 28, 28)).astype(np.float32)
+        _, peak = traced_peak(lambda: model.features(images))
+        conv1_output = 512 * 10 * 24 * 24 * 8
+        assert peak < conv1_output
+
 
 class TestLossGrad:
     @pytest.fixture
@@ -257,7 +270,7 @@ class TestWorkerThreads:
 
         def recorded(name, fn):
             def wrapper(*args, **kwargs):
-                calls.append((name, threading.get_ident()))
+                calls.append((name + ("(pool=True)" if kwargs.get("pool") else ""), threading.get_ident()))
                 return fn(*args, **kwargs)
 
             return wrapper
@@ -276,7 +289,8 @@ class TestWorkerThreads:
         net.loss_grad(ds.images, ds.labels, {"tl": 1.0, "br": 0.5})
         net.eval_features(ds.images, 32)
         called = {name for name, _ in calls}
-        assert {"ad.conv2d", "ad.maxpool2", "ad.relu", "ad.linear", "ad.cross_entropy_mean", "ad.backward"} <= called
+        # the encoder pools inside its convs: conv2d(pool=True), never maxpool2
+        assert {"ad.conv2d(pool=True)", "ad.relu", "ad.linear", "ad.cross_entropy_mean", "ad.backward"} <= called
         assert {"model.loss_grad", "model.eval_features", "model.features", "model.head_logits"} <= called
         assert {thread for _, thread in calls} == {threading.get_ident()}
         assert max(splits) >= 2  # and the kernels did split

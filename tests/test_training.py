@@ -348,12 +348,22 @@ def test_unknown_target_is_rejected_before_data_is_built(tmp_path, capsys, monke
         ("clamp.floor=0", "clamp_floor must be positive, got 0.0"),
         ("diw.eta_w=0", "diw_eta must be positive, got 0.0"),
         ("diw.patience=0", "diw_patience must be >= 1, got 0"),
+        ("train.subset=0", "train_subset must be >= 1, got 0"),
+        ("train.subset=-3", "train_subset must be >= 1, got -3"),
         ("train.rho=0", "rho must be in (0, 1], got 0.0"),
     ],
 )
 def test_bad_values_are_rejected_before_data_is_built(tmp_path, capsys, monkeypatch, extra, expected):
     monkeypatch.setattr(harness, "load_pools", lambda config: pytest.fail("data built before the check"))
     assert expected in config_error(tmp_path, capsys, extra)
+
+
+@pytest.mark.parametrize("subset", [0, -3])
+def test_a_train_subset_below_one_is_rejected(subset):
+    # -3 once trained on all but 3 examples, and 0 wrote ok rows after no step
+    with pytest.raises(harness.ConfigError, match=f"train_subset must be >= 1, got {subset}"):
+        harness.parse_config_text(f"train.subset={subset}\n")
+    assert harness.parse_config_text("train.subset=1\n").effective_subset == 1
 
 
 def test_a_config_directory_is_a_cli_error(tmp_path, capsys):
