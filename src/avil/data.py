@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .files import read_exact, replace_atomically
+from .files import read_array, read_exact, replace_atomically
 
 TASK_TOP_LEFT = "tl"
 TASK_BOTTOM_RIGHT = "br"
@@ -48,35 +48,55 @@ IDX_LABELS_MAGIC = 0x00000801
 
 @dataclass
 class MultiMnistSet:
-    """Images [n,1,28,28] in [0,1] with one class-label vector per task.
+    """The images ``pixels[rows]`` in [0,1], with one class-label vector per task.
+
+    ``pixels`` [N,1,28,28] may be shared with other sets: ``take`` composes
+    row indices and copies no image, so a seed's train and dev sets and its
+    desk subset all read the pool's array. Every reader gets its images
+    through ``gather``, which copies just the rows it is asked for. A pool
+    built by ``make_multimnist`` or ``load_cache`` holds all of its rows
+    (``whole``). Sets are immutable by convention: a write into ``pixels``
+    shows in every set over that array.
 
     A label vector of the wrong length or with a label outside 0-9 is a
     ConfigError naming the split and the task.
     """
 
-    images: np.ndarray
+    pixels: np.ndarray
+    rows: np.ndarray
     labels: dict
     split: str
 
     def __post_init__(self):
-        if self.images.ndim != 4 or self.images.shape[1] != 1:
-            raise ConfigError(f"{self.split} images must have shape [n, 1, h, w], got {self.images.shape}")
+        if self.pixels.ndim != 4 or self.pixels.shape[1] != 1:
+            raise ConfigError(f"{self.split} images must have shape [n, 1, h, w], got {self.pixels.shape}")
         for task, y in self.labels.items():
-            if y.shape != (len(self.images),):
+            if y.shape != (len(self),):
                 raise ConfigError(
-                    f"{self.split} labels of task {task!r} have shape {y.shape}, expected ({len(self.images)},)"
+                    f"{self.split} labels of task {task!r} have shape {y.shape}, expected ({len(self)},)"
                 )
             bad = y[(y < 0) | (y > 9)]
             if bad.size:
                 raise ConfigError(f"{self.split} labels of task {task!r} must be digits 0-9, got {bad[0]}")
 
+    @classmethod
+    def whole(cls, pixels, labels, split):
+        """The set of every row of ``pixels``, in order."""
+        return cls(pixels=pixels, rows=np.arange(len(pixels)), labels=labels, split=split)
+
     def __len__(self):
-        return self.images.shape[0]
+        return len(self.rows)
+
+    def gather(self, positions):
+        """A new array of the images at ``positions`` (an index array or a slice) of this set."""
+        return self.pixels[self.rows[positions]]
 
     def take(self, indices, split=None):
+        """The subset at ``indices``, over the same ``pixels``."""
         indices = np.asarray(indices)
         return MultiMnistSet(
-            images=self.images[indices],
+            pixels=self.pixels,
+            rows=self.rows[indices],
             labels={t: y[indices] for t, y in self.labels.items()},
             split=self.split if split is None else split,
         )
@@ -143,7 +163,9 @@ def load_idx(images_path, labels_path):
         raise ConfigError(
             f"{images_path} has {n} images but {labels_path} has {n_labels} labels"
         )
-    return images.astype(np.float32) / 255.0, labels.astype(np.int64)
+    images = images.astype(np.float32)
+    images /= 255.0  # in place: one float32 copy of the pool, not two
+    return images, labels.astype(np.int64)
 
 
 def find_idx_pair(directory, prefix):
@@ -215,8 +237,8 @@ def make_multimnist(images, labels, pair_seed, split):
     for lo in range(0, n, _CHUNK):  # a chunk's canvases and resize temporaries, not the set's
         hi = min(lo + _CHUNK, n)
         out[lo:hi, 0] = bilinear_resize(overlay_pair(images[lo:hi], images[partner[lo:hi]]), 28, 28)
-    return MultiMnistSet(
-        images=out,
+    return MultiMnistSet.whole(
+        out,
         labels={
             TASK_TOP_LEFT: np.asarray(labels, dtype=np.int64).copy(),
             TASK_BOTTOM_RIGHT: np.asarray(labels, dtype=np.int64)[partner],
@@ -274,13 +296,18 @@ def chunk_indices(order, batch_size):
 
 
 def save_cache(dataset, path):
-    """Write magic 'MM01', n u64, f32 LE images, then tl/br label bytes."""
+    """Write magic 'MM01', n u64, f32 LE images, then tl/br label bytes.
+
+    The images are gathered and written ``_CHUNK`` at a time, so a subset
+    of a large pool never holds a copy of all its images.
+    """
     tl = dataset.labels[TASK_TOP_LEFT]
     br = dataset.labels[TASK_BOTTOM_RIGHT]
     with replace_atomically(path, binary=True) as fh:
         fh.write(CACHE_MAGIC)
         fh.write(struct.pack("<Q", len(dataset)))
-        fh.write(dataset.images.astype("<f4").tobytes())
+        for lo in range(0, len(dataset), _CHUNK):
+            fh.write(dataset.gather(slice(lo, lo + _CHUNK)).astype("<f4", copy=False))
         fh.write(tl.astype(np.uint8).tobytes())
         fh.write(br.astype(np.uint8).tobytes())
 
@@ -290,14 +317,15 @@ def load_cache(path, split):
 
     A bad magic, a short file, or a pixel that is not a number in [0, 1]
     (NaN included) is a ConfigError; the last names the first bad image.
+    The pixels are read straight into the set's array, once the file is
+    known to hold them all.
     """
     with open(path, "rb") as fh:
         magic = read_exact(fh, 4, path)
         if magic != CACHE_MAGIC:
             raise ConfigError(f"{path}: bad cache magic {magic!r} at offset 0")
         (n,) = struct.unpack("<Q", read_exact(fh, 8, path))
-        raw = read_exact(fh, n * 28 * 28 * 4, path)
-        images = np.frombuffer(raw, dtype="<f4").reshape(n, 1, 28, 28).copy()
+        images = read_array(fh, (n, 1, 28, 28), "<f4", path)
         # min and max propagate NaN, so one reduction each checks every pixel
         if n and not (images.min() >= 0.0 and images.max() <= 1.0):
             flat = images.reshape(n, -1)
@@ -306,7 +334,7 @@ def load_cache(path, split):
             raise ConfigError(f"{path}: image {first} has pixel value {value}, expected a number in [0, 1]")
         tl = np.frombuffer(read_exact(fh, n, path), dtype=np.uint8).astype(np.int64)
         br = np.frombuffer(read_exact(fh, n, path), dtype=np.uint8).astype(np.int64)
-    return MultiMnistSet(images=images, labels={TASK_TOP_LEFT: tl, TASK_BOTTOM_RIGHT: br}, split=split)
+    return MultiMnistSet.whole(images, labels={TASK_TOP_LEFT: tl, TASK_BOTTOM_RIGHT: br}, split=split)
 
 
 def cache_name(split, pair_seed):
@@ -362,8 +390,8 @@ _DRAW_SPAN = _DRAW_HIGH - _DRAW_LOW
 # in cache. On a 2-core Xeon with 2 MiB of L2 per core, 128 digits a batch
 # rendered about 20% slower.
 _RENDER_CHUNK = 32
-# Images overlaid per batch: the canvases and resize temporaries are about
-# 20 KiB an image.
+# Images overlaid, or gathered for a cache file, per batch: the canvases and
+# resize temporaries are about 20 KiB an image.
 _CHUNK = 128
 
 

@@ -1,15 +1,19 @@
 """File I/O shared by every reader and writer.
 
-``read_exact`` is the one size-checked read behind the IDX, cache and
-checkpoint readers. ``replace_atomically`` is the one whole-file write: it
-never leaves a partial file under the final name.
+Every read of the IDX, cache and checkpoint readers is size-checked by
+one test, through ``read_exact``, which returns bytes, or ``read_array``,
+which reads straight into a new array. ``replace_atomically`` is the one
+whole-file write: it never leaves a partial file under the final name.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from contextlib import contextmanager
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ConfigError
 
@@ -22,6 +26,25 @@ def read_exact(fh, count, path):
     A short file is a ConfigError naming ``path``, the offset where the file
     ends and the offset of the field that was wanted.
     """
+    _check_left(fh, count, path)
+    return fh.read(count)
+
+
+def read_array(fh, shape, dtype, path):
+    """A new array of ``shape`` and ``dtype`` read from the next bytes of ``fh``.
+
+    The size is checked as ``read_exact`` checks it, before the array is
+    made, and the bytes are read straight into the array.
+    """
+    dtype = np.dtype(dtype)
+    _check_left(fh, math.prod(shape) * dtype.itemsize, path)
+    array = np.empty(shape, dtype=dtype)
+    fh.readinto(array.reshape(-1).view(np.uint8))
+    return array
+
+
+def _check_left(fh, count, path):
+    """A ConfigError unless ``fh`` holds ``count`` more bytes (see ``read_exact``)."""
     offset = fh.tell()
     end = fh.seek(0, os.SEEK_END)
     fh.seek(offset)
@@ -29,7 +52,6 @@ def read_exact(fh, count, path):
         raise ConfigError(
             f"{path}: truncated at offset {end} ({count} bytes wanted from offset {offset}, {end - offset} left)"
         )
-    return fh.read(count)
 
 
 @contextmanager

@@ -319,7 +319,10 @@ def _check_no_other_caches(directory, pair_seed):
 
 
 def seed_datasets(config, train_pool, seed):
-    """Per-seed (train, dev) pair: dev split plus optional desk-scale subset."""
+    """Per-seed (train, dev) pair: dev split plus optional desk-scale subset.
+
+    Both are sets of rows of ``train_pool``'s image array; no image is copied.
+    """
     train_full, dev = datamod.split_dev(train_pool, config.dev_size, seed)
     subset = config.effective_subset
     if subset is not None and subset < len(train_full):

@@ -26,14 +26,15 @@ choice, visible here and in the run configuration echo.
 
 Evaluation encodes a whole dataset without a tape (``eval_features``) and
 keeps the result as a single-entry memo. Its key is the exact bits of the
-encoder slice of the parameter vector, the images array itself (the memo
-holds a reference, so its identity cannot be reused) and the chunk size.
-A hit returns arrays that the same code computed from bit-identical
-inputs, so scoring a second head, or rescoring parameters just scored, is
-exact and skips the encoder. The bits are compared rather than the
-values: NaN never equals itself, and -0.0 equals +0.0 without being the
-same parameter. Datasets are immutable by convention; the memo relies on
-that.
+encoder slice of the parameter vector, the dataset itself (the memo holds
+a reference, so its identity cannot be reused) and the chunk size. The
+dataset, not its image array, is the key because sets share arrays: a
+seed's train and dev sets are two sets of rows of one pool array. A hit
+returns arrays that the same code computed from bit-identical inputs, so
+scoring a second head, or rescoring parameters just scored, is exact and
+skips the encoder. The bits are compared rather than the values: NaN
+never equals itself, and -0.0 equals +0.0 without being the same
+parameter. Datasets are immutable by convention; the memo relies on that.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError
-from .files import read_exact, replace_atomically
+from .files import read_array, read_exact, replace_atomically
 
 ENCODER_SHAPES = (
     ("conv1_w", (10, 1, 5, 5)),
@@ -99,7 +100,7 @@ class MultiHeadModel:
         filled = sum(p.data.size for p in self._params)
         if filled != self._flat.size:
             raise RuntimeError(f"model has {filled} parameters, expected {self._flat.size}")
-        self._features_memo = None  # (encoder bytes, images, batch size, features)
+        self._features_memo = None  # (encoder bytes, dataset, batch size, features)
 
     def _init_params(self, rng, shapes):
         """One layer group's tensors, each a view of the next span of ``_flat``."""
@@ -146,25 +147,26 @@ class MultiHeadModel:
         x = ad.reshape(x, (x.shape[0], ENCODER_SHAPES[4][1][0]))
         return ad.relu(ad.linear(x, self._encoder["fc_w"], self._encoder["fc_b"]))
 
-    def eval_features(self, images, batch_size):
-        """Tape-free ``features`` of ``images`` in consecutive chunks of ``batch_size``.
+    def eval_features(self, dataset, batch_size):
+        """Tape-free ``features`` of a ``data.MultiMnistSet`` in consecutive chunks of ``batch_size``.
 
-        One list entry per chunk. The last call's result is returned again
-        while the encoder bits, the images array and the chunk size are
-        unchanged (module docstring); any other call re-encodes and replaces
-        it. Under an active tape the chunks are encoded afresh and nothing
-        is memoized.
+        One list entry per chunk, each chunk's images taken with
+        ``dataset.gather``. The last call's result is returned again while
+        the encoder bits, the dataset and the chunk size are unchanged
+        (module docstring); any other call re-encodes and replaces it.
+        Under an active tape the chunks are encoded afresh and nothing is
+        memoized.
         """
-        chunks = range(0, len(images), batch_size)
+        chunks = range(0, len(dataset), batch_size)
         if ad.active_tape() is not None:
-            return [self.features(images[lo : lo + batch_size]) for lo in chunks]
+            return [self.features(dataset.gather(slice(lo, lo + batch_size))) for lo in chunks]
         encoder = self._flat[:ENCODER_PARAMS].view(np.uint8)
         memo = self._features_memo
-        if memo is not None and memo[1] is images and memo[2] == batch_size and np.array_equal(memo[0], encoder):
+        if memo is not None and memo[1] is dataset and memo[2] == batch_size and np.array_equal(memo[0], encoder):
             return memo[3]
         self._features_memo = None  # free the old entry before encoding the new one
-        feats = [self.features(images[lo : lo + batch_size]) for lo in chunks]
-        self._features_memo = (encoder.copy(), images, batch_size, feats)
+        feats = [self.features(dataset.gather(slice(lo, lo + batch_size))) for lo in chunks]
+        self._features_memo = (encoder.copy(), dataset, batch_size, feats)
         return feats
 
     def head_logits(self, feats, task):
@@ -271,6 +273,5 @@ def load_checkpoint(path):
         for _ in range(ntasks):
             (ln,) = struct.unpack("<I", read_exact(fh, 4, path))
             task_ids.append(read_exact(fh, ln, path).decode("utf-8"))
-        raw = read_exact(fh, count * 8, path)
-        values = np.frombuffer(raw, dtype="<f8").copy()
+        values = read_array(fh, (count,), "<f8", path)
     return values, task_ids

@@ -24,11 +24,13 @@ its settings as attributes of the run's ``harness.ExperimentConfig``
 module imports no configuration type, and the config validates the values.
 
 Every dev score goes through ``evaluate``, whose encoder pass the model
-memoizes on its exact encoder bits (``MultiHeadModel.eval_features``).
-The heads scored at an epoch's end therefore share one pass, and DIW's
-end-of-epoch scoring of the candidate its last joint attempt has just
-scored costs none. ``evaluate`` is still called once per score, so the
-number of calls per DIW epoch stays 2 * tasks + attempts.
+memoizes on its exact encoder bits and the dataset object
+(``MultiHeadModel.eval_features``); a seed's train and dev sets share one
+image array, so the key is the set, not the array. The heads scored at an
+epoch's end therefore share one pass, and DIW's end-of-epoch scoring of
+the candidate its last joint attempt has just scored costs none.
+``evaluate`` is still called once per score, so the number of calls per
+DIW epoch stays 2 * tasks + attempts.
 
 The alpha gradient is computed analytically as g_i = <delta_i, grad of the
 dev loss at the mixed parameters>, so one dev-set gradient pass per tuning
@@ -108,7 +110,7 @@ def evaluate(model, dataset, task, batch_size=512):
     correct = 0
     loss_sum = 0.0
     chunks = chunk_indices(np.arange(n), batch_size)
-    for idx, feats in zip(chunks, model.eval_features(dataset.images, batch_size), strict=True):
+    for idx, feats in zip(chunks, model.eval_features(dataset, batch_size), strict=True):
         logits = model.head_logits(feats, task)
         pred = np.argmax(logits.data, axis=1)
         correct += int((pred == labels[idx]).sum())
@@ -130,7 +132,7 @@ def _epoch_pass(model, base, batch_list, dataset, weights, cfg):
     for idx in batch_list:
         model.restore(base + disp)
         labels = {task: dataset.labels[task][idx] for task in weights}
-        loss, raw, grad = model.loss_grad(dataset.images[idx], labels, weights)
+        loss, raw, grad = model.loss_grad(dataset.gather(idx), labels, weights)
         if not np.isfinite(loss):
             raise NanLossError(f"non-finite training loss {loss}")
         disp = optim.sgd_step(state, disp, grad)
@@ -176,7 +178,7 @@ def dev_loss_grad(model, dev_set, task, batch_size=512):
         total_loss = 0.0
         total_grad = np.zeros_like(theta)
         for idx in chunks:
-            loss, _, grad = model.loss_grad(dev_set.images[idx], {task: labels[idx]}, {task: 1.0})
+            loss, _, grad = model.loss_grad(dev_set.gather(idx), {task: labels[idx]}, {task: 1.0})
             frac = len(idx) / n
             total_loss += loss * frac
             total_grad += grad * frac

@@ -51,4 +51,4 @@ def toy_set(n, seed, tasks=("tl", "br"), split="train", label_map=None):
             labels[task] = np.asarray(label_map[task], dtype=np.int64)
         else:
             labels[task] = gen.integers(0, 10, size=n)
-    return MultiMnistSet(images=images, labels=labels, split=split)
+    return MultiMnistSet.whole(images, labels=labels, split=split)

@@ -63,6 +63,12 @@ class TestLoadIdx:
         np.testing.assert_allclose(loaded_images, images / 255.0, atol=1e-7)
         np.testing.assert_array_equal(loaded_labels, labels)
 
+    def test_pixels_are_those_of_a_float32_division_by_255(self, tmp_path):
+        images = np.resize(np.arange(256), (3, 28, 28))  # every byte value
+        img_path, lbl_path = write_idx_pair(tmp_path, images, np.zeros(3))
+        loaded, _ = load_idx(img_path, lbl_path)
+        assert loaded.tobytes() == (images.astype(np.uint8).astype(np.float32) / 255.0).tobytes()
+
     def test_gzipped_fixture_parses(self, tmp_path, rng):
         images = rng.integers(0, 256, size=(4, 28, 28))
         labels = rng.integers(0, 10, size=4)
@@ -129,7 +135,7 @@ class TestMakeMultimnist:
         # top-left placement untouched
         canvas = overlay_pair(digit, np.zeros((28, 28)))
         expected = bilinear_resize(canvas[None], 28, 28)[0]
-        np.testing.assert_allclose(ds.images[0, 0], expected, atol=1e-6)
+        np.testing.assert_allclose(ds.pixels[0, 0], expected, atol=1e-6)
         assert ds.labels["tl"][0] == 7
         assert ds.labels["br"][0] == 0
 
@@ -139,8 +145,8 @@ class TestMakeMultimnist:
         canvas = overlay_pair(digit, digit)
         # both shifted copies are present; merged canvas dominates each alone
         assert canvas.max() == pytest.approx(0.9)
-        ds = MultiMnistSet(
-            images=bilinear_resize(canvas[None], 28, 28)[None].transpose(1, 0, 2, 3),
+        ds = MultiMnistSet.whole(
+            bilinear_resize(canvas[None], 28, 28)[None].transpose(1, 0, 2, 3),
             labels={"tl": np.array([3]), "br": np.array([3])},
             split="train",
         )
@@ -176,18 +182,18 @@ class TestMakeMultimnist:
         labels = rng.integers(0, 10, size=50)
         ds1 = make_multimnist(images, labels, pair_seed=9, split="train")
         ds2 = make_multimnist(images, labels, pair_seed=9, split="train")
-        np.testing.assert_array_equal(ds1.images, ds2.images)
+        np.testing.assert_array_equal(ds1.pixels, ds2.pixels)
         np.testing.assert_array_equal(ds1.labels["br"], ds2.labels["br"])
         ds3 = make_multimnist(images, labels, pair_seed=10, split="train")
         assert not np.array_equal(ds1.labels["br"], ds3.labels["br"]) or not np.array_equal(
-            ds1.images, ds3.images
+            ds1.pixels, ds3.pixels
         )
 
     def test_outputs_stay_in_unit_range(self, rng):
         images = rng.uniform(size=(20, 28, 28)).astype(np.float32)
         ds = make_multimnist(images, rng.integers(0, 10, 20), pair_seed=3, split="test")
-        assert ds.images.min() >= 0.0
-        assert ds.images.max() <= 1.0
+        assert ds.pixels.min() >= 0.0
+        assert ds.pixels.max() <= 1.0
 
     def test_each_image_is_the_resized_overlay_of_its_pair(self, rng):
         images = rng.uniform(size=(10, 28, 28)).astype(np.float32)
@@ -195,7 +201,7 @@ class TestMakeMultimnist:
         for i, (tl, br) in enumerate(zip(ds.labels["tl"], ds.labels["br"])):
             canvas = overlay_pair(images[tl], images[br])
             assert canvas.shape == (36, 36)
-            assert ds.images[i, 0].tobytes() == bilinear_resize(canvas[None], 28, 28)[0].tobytes()
+            assert ds.pixels[i, 0].tobytes() == bilinear_resize(canvas[None], 28, 28)[0].tobytes()
 
     @pytest.mark.parametrize("chunk", [1, 7, 300])
     def test_bytes_do_not_depend_on_the_chunk(self, monkeypatch, rng, chunk):
@@ -204,7 +210,7 @@ class TestMakeMultimnist:
         reference = make_multimnist(images, labels, pair_seed=4, split="train")
         monkeypatch.setattr(datamod, "_CHUNK", chunk)
         ds = make_multimnist(images, labels, pair_seed=4, split="train")
-        assert ds.images.tobytes() == reference.images.tobytes()
+        assert ds.pixels.tobytes() == reference.pixels.tobytes()
         assert ds.labels["br"].tobytes() == reference.labels["br"].tobytes()
 
     def test_transient_memory_stays_that_of_one_chunk(self, rng, traced_peak):
@@ -212,18 +218,18 @@ class TestMakeMultimnist:
         labels = rng.integers(0, 10, size=2640)
         ds, peak = traced_peak(lambda: make_multimnist(images, labels, pair_seed=1, split="train"))
         # about 2.3 MiB over the result in chunks of 128, 47 MiB in chunks of 4096
-        assert peak - ds.images.nbytes < 6 * 2**20
+        assert peak - ds.pixels.nbytes < 6 * 2**20
 
 
 class TestMultiMnistSetShapes:
     def test_images_without_a_channel_axis_are_a_config_error(self):
         with pytest.raises(ConfigError, match=r"\(3, 28, 28\)"):
-            MultiMnistSet(images=np.zeros((3, 28, 28)), labels={"tl": np.zeros(3)}, split="train")
+            MultiMnistSet.whole(np.zeros((3, 28, 28)), labels={"tl": np.zeros(3)}, split="train")
 
     def test_labels_of_the_wrong_length_are_a_config_error(self):
         with pytest.raises(ConfigError, match=r"'br'.*\(2,\).*\(3,\)"):
-            MultiMnistSet(
-                images=np.zeros((3, 1, 28, 28)),
+            MultiMnistSet.whole(
+                np.zeros((3, 1, 28, 28)),
                 labels={"tl": np.zeros(3), "br": np.zeros(2)},
                 split="dev",
             )
@@ -231,8 +237,8 @@ class TestMultiMnistSetShapes:
     @pytest.mark.parametrize("bad", [-1, 10, 255])
     def test_a_label_outside_0_to_9_is_a_config_error(self, bad):
         with pytest.raises(ConfigError, match=f"test labels of task 'br' must be digits 0-9, got {bad}$"):
-            MultiMnistSet(
-                images=np.zeros((3, 1, 28, 28)),
+            MultiMnistSet.whole(
+                np.zeros((3, 1, 28, 28)),
                 labels={"tl": np.array([0, 9, 5]), "br": np.array([9, bad, 0])},
                 split="test",
             )
@@ -249,15 +255,26 @@ class TestSplits:
         ds = _toy(100, rng)
         t1, d1 = split_dev(ds, 30, seed=7)
         t2, d2 = split_dev(ds, 30, seed=7)
-        np.testing.assert_array_equal(d1.images, d2.images)
-        np.testing.assert_array_equal(t1.images, t2.images)
+        np.testing.assert_array_equal(d1.gather(slice(None)), d2.gather(slice(None)))
+        np.testing.assert_array_equal(t1.gather(slice(None)), t2.gather(slice(None)))
 
     def test_union_is_everything(self, rng):
         ds = _toy(80, rng)
-        ds.images[:, 0, 0, 0] = np.arange(80)  # identity tags to recover indices
+        ds.pixels[:, 0, 0, 0] = np.arange(80)  # identity tags to recover indices
         train, dev = split_dev(ds, 20, seed=1)
-        merged = np.sort(np.concatenate([train.images[:, 0, 0, 0], dev.images[:, 0, 0, 0]]))
+        merged = np.sort(np.concatenate([train.gather(slice(None))[:, 0, 0, 0], dev.gather(slice(None))[:, 0, 0, 0]]))
         np.testing.assert_array_equal(merged, np.arange(80))
+
+    def test_the_split_copies_no_image(self, rng):
+        ds = _toy(80, rng)
+        train, dev = split_dev(ds, 20, seed=1)
+        assert np.shares_memory(train.pixels, ds.pixels) and np.shares_memory(dev.pixels, ds.pixels)
+        subset = train.take([5, 2, 40])
+        assert subset.pixels is ds.pixels
+        np.testing.assert_array_equal(subset.rows, train.rows[[5, 2, 40]])
+        assert subset.gather(slice(None)).tobytes() == ds.pixels[train.rows[[5, 2, 40]]].tobytes()
+        for task in ("tl", "br"):
+            np.testing.assert_array_equal(subset.labels[task], ds.labels[task][subset.rows])
 
     def test_oversized_dev_rejected(self, rng):
         with pytest.raises(ConfigError):
@@ -324,7 +341,7 @@ class TestCache:
         path = tmp_path / "cache.mm01"
         save_cache(ds, path)
         loaded = load_cache(path, split="train")
-        np.testing.assert_array_equal(loaded.images, ds.images)
+        np.testing.assert_array_equal(loaded.pixels, ds.pixels)
         np.testing.assert_array_equal(loaded.labels["tl"], ds.labels["tl"])
         np.testing.assert_array_equal(loaded.labels["br"], ds.labels["br"])
         assert path.read_bytes()[:4] == b"MM01"
@@ -335,8 +352,8 @@ class TestCache:
         with pytest.raises(ConfigError, match="magic"):
             load_cache(path, split="train")
 
-    # inside the magic, after it, inside the example count, after it
-    @pytest.mark.parametrize("cut", [2, 4, 8, 12])
+    # inside the magic, after it, inside the example count, after it, inside the pixels
+    @pytest.mark.parametrize("cut", [2, 4, 8, 12, 12 + 4 * 28 * 28 * 4 - 1])
     def test_file_cut_in_its_header_reports_offset(self, tmp_path, rng, cut):
         ds = make_multimnist(rng.uniform(size=(4, 28, 28)), rng.integers(0, 10, 4), pair_seed=2, split="train")
         path = tmp_path / "cache.mm01"
@@ -351,6 +368,27 @@ class TestCache:
         expected = f"{path}: truncated at offset 76 ({2**62 * 28 * 28 * 4} bytes wanted from offset 12, 64 left)"
         with pytest.raises(ConfigError, match=re.escape(expected)):
             load_cache(path, split="train")
+
+    def test_the_pixels_are_read_once_into_the_sets_array(self, tmp_path, rng, traced_peak):
+        pool = _toy(1000, rng)
+        path = tmp_path / "cache.mm01"
+        save_cache(pool, path)
+        loaded, peak = traced_peak(lambda: load_cache(path, split="train"))
+        assert loaded.pixels.tobytes() == pool.pixels.tobytes()
+        # 3.0 MiB of pixels: 3.02 MiB traced; the file's bytes plus a copy of them took 6.0
+        assert peak - loaded.pixels.nbytes < 2**20 / 4
+
+    def test_a_taken_set_round_trips_in_its_row_order_in_bounded_chunks(self, tmp_path, rng, traced_peak):
+        pool = _toy(3000, rng)
+        order = rng.permutation(3000)[:2000]
+        path = tmp_path / "subset.mm01"
+        _, peak = traced_peak(lambda: save_cache(pool.take(order), path))
+        loaded = load_cache(path, split="train")
+        assert loaded.pixels.tobytes() == pool.pixels[order].tobytes()
+        for task in ("tl", "br"):
+            np.testing.assert_array_equal(loaded.labels[task], pool.labels[task][order])
+        # chunks of 128 images: 0.39 MiB traced; the subset's images take 6.0 MiB
+        assert peak < 2**20
 
 
 class TestSyntheticDigits:
@@ -486,8 +524,8 @@ def test_building_synthetic_pools_imports_no_scipy(tmp_path):
 
 
 def _toy(n, rng):
-    return MultiMnistSet(
-        images=rng.uniform(size=(n, 1, 28, 28)).astype(np.float32),
+    return MultiMnistSet.whole(
+        rng.uniform(size=(n, 1, 28, 28)).astype(np.float32),
         labels={"tl": rng.integers(0, 10, n), "br": rng.integers(0, 10, n)},
         split="train",
     )

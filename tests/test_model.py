@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from avil import autodiff as ad
+from avil.data import MultiMnistSet
 from avil.model import (
     ENCODER_PARAMS,
     HEAD_PARAMS,
@@ -209,24 +210,24 @@ class TestEvalFeatures:
         return toy_set(20, seed=6)
 
     def test_unchanged_parameters_reuse_every_chunk(self, net, ds, encoder_passes):
-        first = net.eval_features(ds.images, 8)
+        first = net.eval_features(ds, 8)
         assert encoder_passes == [8, 8, 4]
-        assert net.eval_features(ds.images, 8) is first
+        assert net.eval_features(ds, 8) is first
         assert encoder_passes == [8, 8, 4]
 
     def test_a_one_ulp_encoder_change_re_encodes(self, net, ds, encoder_passes):
-        net.eval_features(ds.images, 20)
+        net.eval_features(ds, 20)
         theta = net.snapshot()
         theta[ENCODER_PARAMS - 1] = np.nextafter(theta[ENCODER_PARAMS - 1], np.inf)  # last fc bias
         net.restore(theta)
-        net.eval_features(ds.images, 20)
+        net.eval_features(ds, 20)
         assert encoder_passes == [20, 20]
 
     def test_nan_encoder_bits_still_hit(self, net, ds, encoder_passes):
         theta = net.snapshot()
         theta[0] = np.nan
         net.restore(theta)
-        assert net.eval_features(ds.images, 20) is net.eval_features(ds.images, 20)
+        assert net.eval_features(ds, 20) is net.eval_features(ds, 20)
         assert encoder_passes == [20]
 
     def test_a_head_change_reuses_the_features_and_gives_the_new_result(self, net, ds, encoder_passes):
@@ -243,20 +244,28 @@ class TestEvalFeatures:
 
     @pytest.mark.parametrize("change", ["images", "batch size"])
     def test_other_images_or_batch_size_re_encode(self, net, ds, encoder_passes, change):
-        net.eval_features(ds.images, 20)
+        net.eval_features(ds, 20)
         if change == "images":
-            net.eval_features(ds.images.copy(), 20)  # equal values, another array
+            net.eval_features(MultiMnistSet.whole(ds.pixels.copy(), ds.labels, ds.split), 20)  # equal values, another set
             assert encoder_passes == [20, 20]
         else:
-            net.eval_features(ds.images, 16)
+            net.eval_features(ds, 16)
             assert encoder_passes == [20, 16, 4]
 
+    def test_two_sets_over_one_array_with_other_rows_do_not_hit(self, net, encoder_passes):
+        pool = toy_set(40, seed=6)
+        first, second = pool.take(np.arange(20)), pool.take(np.arange(20, 40))
+        net.eval_features(first, 20)
+        (feats,) = net.eval_features(second, 20)
+        assert encoder_passes == [20, 20]
+        assert feats.data.tobytes() == net.features(pool.pixels[20:]).data.tobytes()
+
     def test_a_tape_gets_fresh_tracked_features(self, net, ds, encoder_passes):
-        memoized = net.eval_features(ds.images, 20)
+        memoized = net.eval_features(ds, 20)
         with ad.Tape():
-            (taped,) = net.eval_features(ds.images, 20)
+            (taped,) = net.eval_features(ds, 20)
         assert taped.tape is not None
-        assert net.eval_features(ds.images, 20) is memoized
+        assert net.eval_features(ds, 20) is memoized
         assert encoder_passes == [20]  # the fixture counts tape-free passes only
 
 
@@ -286,8 +295,8 @@ class TestWorkerThreads:
 
         net = build_model(["tl", "br"], seed=1)
         ds = toy_set(64, seed=2)
-        net.loss_grad(ds.images, ds.labels, {"tl": 1.0, "br": 0.5})
-        net.eval_features(ds.images, 32)
+        net.loss_grad(ds.gather(slice(None)), ds.labels, {"tl": 1.0, "br": 0.5})
+        net.eval_features(ds, 32)
         called = {name for name, _ in calls}
         # the encoder pools inside its convs: conv2d(pool=True), never maxpool2
         assert {"ad.conv2d(pool=True)", "ad.relu", "ad.linear", "ad.cross_entropy_mean", "ad.backward"} <= called

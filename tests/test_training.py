@@ -70,9 +70,9 @@ def test_the_feature_memo_changes_no_output_byte(tmp_path, monkeypatch, method, 
     memoized = run_files(replace(config, out_dir=str(tmp_path / "memo")))
     eval_features = model.MultiHeadModel.eval_features
 
-    def always_miss(self, images, batch_size):
+    def always_miss(self, dataset, batch_size):
         self._features_memo = None
-        return eval_features(self, images, batch_size)
+        return eval_features(self, dataset, batch_size)
 
     monkeypatch.setattr(model.MultiHeadModel, "eval_features", always_miss)
     assert run_files(replace(config, out_dir=str(tmp_path / "fresh"))) == memoized
@@ -80,6 +80,22 @@ def test_the_feature_memo_changes_no_output_byte(tmp_path, monkeypatch, method, 
 
 def tiny_datasets(config, seed=2):
     return harness.seed_datasets(config, harness.load_pools(config)[0], seed)
+
+
+def test_a_seeds_sets_share_the_pools_images(traced_peak):
+    # desk proportions scaled down tenfold: 1000 dev images and a
+    # 1000-image subset drawn from a 6000-image pool
+    config = harness.ExperimentConfig(dev_size=1000, train_subset=1000)
+    pool = toy_set(6000, seed=3)
+    (train, dev), peak = traced_peak(lambda: harness.seed_datasets(config, pool, 1))
+    assert (len(train), len(dev)) == (1000, 1000)
+    assert np.shares_memory(train.pixels, pool.pixels) and np.shares_memory(dev.pixels, pool.pixels)
+    assert not set(train.rows) & set(dev.rows)
+    for task in ("tl", "br"):
+        np.testing.assert_array_equal(train.labels[task], pool.labels[task][train.rows])
+        np.testing.assert_array_equal(dev.labels[task], pool.labels[task][dev.rows])
+    # row indices and labels: 0.23 MiB traced; copies of the images took 21 MiB
+    assert peak < 2**20
 
 
 def test_the_heads_share_one_encoder_pass_per_epoch_end(encoder_passes):
@@ -135,13 +151,20 @@ def read_csv(path):
 
 
 def poison_seed_2(monkeypatch, split):
-    """Make ``harness.seed_datasets`` give seed 2 a NaN first image in ``split``."""
+    """Make ``harness.seed_datasets`` give seed 2 a NaN first image in ``split``.
+
+    The poisoned set gets a private copy of its rows: its pixels are the
+    pool's, and a NaN written there would reach every later seed.
+    """
     seed_datasets = harness.seed_datasets
 
     def poisoned(config, pool, seed):
         train, dev = seed_datasets(config, pool, seed)
         if seed == 2:
-            (train if split == "train" else dev).images[0] = np.nan
+            target = train if split == "train" else dev
+            private = data.MultiMnistSet.whole(target.gather(slice(None)), target.labels, target.split)
+            private.pixels[0] = np.nan
+            train, dev = (private, dev) if split == "train" else (train, private)
         return train, dev
 
     monkeypatch.setattr(harness, "seed_datasets", poisoned)
@@ -217,8 +240,7 @@ class ImagesInterrupted:
     def __len__(self):
         return 1
 
-    @property
-    def images(self):
+    def gather(self, positions):
         raise KeyboardInterrupt
 
 

@@ -93,7 +93,7 @@ class TestCollectDelta:
             plain = np.zeros_like(base)
             for idx in chunk_indices(order, cfg.batch_size):
                 model.restore(base + plain)
-                _, grad = plain_loss_grad(model, ds.images[idx], ds.labels["tl"][idx], "tl")
+                _, grad = plain_loss_grad(model, ds.gather(idx), ds.labels["tl"][idx], "tl")
                 plain = sgd_step(state, plain, grad)
             assert delta.dtype == plain.dtype == dtype
             np.testing.assert_array_equal(delta, plain)
@@ -170,7 +170,7 @@ class TestAlphaGradient:
         model.restore(theta)
         ref_loss, ref_grad = 0.0, np.zeros_like(theta)
         for idx in chunk_indices(np.arange(40), 16):
-            chunk_loss, chunk_grad = plain_loss_grad(model, dev.images[idx], dev.labels["tl"][idx], "tl")
+            chunk_loss, chunk_grad = plain_loss_grad(model, dev.gather(idx), dev.labels["tl"][idx], "tl")
             frac = len(idx) / 40
             ref_loss += chunk_loss * frac
             ref_grad += chunk_grad * frac
@@ -252,9 +252,9 @@ class TestTuneAlphas:
         np.testing.assert_allclose(alphas, expected, atol=1e-3)
 
 
-def image_chunks(model, images, batch_size):
+def image_chunks(model, dataset, batch_size):
     """A fake model's ``eval_features``: the image chunks themselves."""
-    return [images[lo : lo + batch_size] for lo in range(0, len(images), batch_size)]
+    return [dataset.gather(slice(lo, lo + batch_size)) for lo in range(0, len(dataset), batch_size)]
 
 
 class TestEvaluate:
