@@ -123,8 +123,11 @@ class ExperimentConfig:
         if self.train_subset is not None and self.train_subset < 1:
             raise ConfigError(f"train_subset must be >= 1, got {self.train_subset}")
         for name in ("learning_rate", "meta_learning_rate", "clamp_floor", "diw_eta"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not np.isfinite(value):  # NaN passes the next check: every comparison with it is False
+                raise ConfigError(f"{name} must be finite, got {value}")
+            if value <= 0:
+                raise ConfigError(f"{name} must be positive, got {value}")
         if not 0.0 < self.rho <= 1.0:
             raise ConfigError(f"rho must be in (0, 1], got {self.rho}")
         for name in ("momentum", "meta_momentum"):
@@ -196,8 +199,8 @@ def parse_seeds(raw):
 
 
 def parse_config_text(text, base=None):
-    """Apply key=value lines to a config; unknown keys are errors."""
-    values = {}
+    """Apply key=value lines to a config; unknown keys and keys given twice are errors."""
+    values, seen = {}, {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -209,6 +212,9 @@ def parse_config_text(text, base=None):
         raw = raw.strip()
         if key not in _KEY_MAP:
             raise ConfigError(f"line {lineno}: unknown configuration key {key!r}")
+        if key in seen:
+            raise ConfigError(f"line {lineno}: {key!r} is already set on line {seen[key]}")
+        seen[key] = lineno
         attr, conv = _KEY_MAP[key]
         try:
             values[attr] = parse_seeds(raw) if conv == "seeds" else conv(raw)
@@ -514,11 +520,13 @@ def run_experiment(config, pools=None):
             summary_rows += [{"seed": seed, "task": task, "status": f"failed:{exc}"} for task in reported]
             continue
         write_seed_csv(run_dir / f"seed{seed}.csv", result)
-        # one model for every snapshot: bit-equal encoders share a test-set pass
         eval_model = build_model(result.task_ids, seed, dtype=config.np_dtype)
+        feats_epoch = None
         for task, best in sorted(result.best.items()):
             eval_model.restore(best.params)
-            test_acc, _ = weighting.evaluate(eval_model, test_set, task, config.eval_batch_size)
+            if best.epoch != feats_epoch:  # the snapshots of one epoch share a test-set pass
+                feats, feats_epoch = eval_model.eval_features(test_set, config.eval_batch_size), best.epoch
+            test_acc, _ = weighting.evaluate(eval_model, test_set, task, config.eval_batch_size, features=feats)
             suffix = f"_{task}" if len(result.best) > 1 else ""
             save_checkpoint(run_dir / f"seed{seed}{suffix}.ckpt", best.params, result.task_ids)
             summary_rows.append({

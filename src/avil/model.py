@@ -24,17 +24,10 @@ Initialization is uniform in +/- 1/sqrt(fan_in) per layer, drawn from a
 seeded generator in canonical parameter order; the scheme is a local
 choice, visible here and in the run configuration echo.
 
-Evaluation encodes a whole dataset without a tape (``eval_features``) and
-keeps the result as a single-entry memo. Its key is the exact bits of the
-encoder slice of the parameter vector, the dataset itself (the memo holds
-a reference, so its identity cannot be reused) and the chunk size. The
-dataset, not its image array, is the key because sets share arrays: a
-seed's train and dev sets are two sets of rows of one pool array. A hit
-returns arrays that the same code computed from bit-identical inputs, so
-scoring a second head, or rescoring parameters just scored, is exact and
-skips the encoder. The bits are compared rather than the values: NaN
-never equals itself, and -0.0 equals +0.0 without being the same
-parameter. Datasets are immutable by convention; the memo relies on that.
+Evaluation encodes a whole dataset without a tape (``eval_features``).
+The model keeps no evaluation state: a caller that scores several heads
+at one set of parameters encodes once and hands the features to each
+head's score (``weighting.evaluate``).
 """
 
 from __future__ import annotations
@@ -100,7 +93,6 @@ class MultiHeadModel:
         filled = sum(p.data.size for p in self._params)
         if filled != self._flat.size:
             raise RuntimeError(f"model has {filled} parameters, expected {self._flat.size}")
-        self._features_memo = None  # (encoder bytes, dataset, batch size, features)
 
     def _init_params(self, rng, shapes):
         """One layer group's tensors, each a view of the next span of ``_flat``."""
@@ -151,23 +143,10 @@ class MultiHeadModel:
         """Tape-free ``features`` of a ``data.MultiMnistSet`` in consecutive chunks of ``batch_size``.
 
         One list entry per chunk, each chunk's images taken with
-        ``dataset.gather``. The last call's result is returned again while
-        the encoder bits, the dataset and the chunk size are unchanged
-        (module docstring); any other call re-encodes and replaces it.
-        Under an active tape the chunks are encoded afresh and nothing is
-        memoized.
+        ``dataset.gather``. Every call encodes the whole set.
         """
         chunks = range(0, len(dataset), batch_size)
-        if ad.active_tape() is not None:
-            return [self.features(dataset.gather(slice(lo, lo + batch_size))) for lo in chunks]
-        encoder = self._flat[:ENCODER_PARAMS].view(np.uint8)
-        memo = self._features_memo
-        if memo is not None and memo[1] is dataset and memo[2] == batch_size and np.array_equal(memo[0], encoder):
-            return memo[3]
-        self._features_memo = None  # free the old entry before encoding the new one
-        feats = [self.features(dataset.gather(slice(lo, lo + batch_size))) for lo in chunks]
-        self._features_memo = (encoder.copy(), dataset, batch_size, feats)
-        return feats
+        return [self.features(dataset.gather(slice(lo, lo + batch_size))) for lo in chunks]
 
     def head_logits(self, feats, task):
         head = self.head(task)

@@ -17,8 +17,8 @@ class SgdState:
     """Velocity buffer plus hyperparameters for one optimized vector."""
 
     def __init__(self, learning_rate, momentum, size, dtype=np.float64):
-        if learning_rate <= 0:
-            raise ConfigError(f"learning rate must be positive, got {learning_rate}")
+        if not 0 < learning_rate < np.inf:
+            raise ConfigError(f"learning rate must be positive and finite, got {learning_rate}")
         if not 0.0 <= momentum < 1.0:
             raise ConfigError(f"momentum must be in [0, 1), got {momentum}")
         self.learning_rate = float(learning_rate)

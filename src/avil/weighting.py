@@ -23,14 +23,12 @@ its settings as attributes of the run's ``harness.ExperimentConfig``
 (``effective_epochs``, ``batch_size``, ``learning_rate`` and so on); this
 module imports no configuration type, and the config validates the values.
 
-Every dev score goes through ``evaluate``, whose encoder pass the model
-memoizes on its exact encoder bits and the dataset object
-(``MultiHeadModel.eval_features``); a seed's train and dev sets share one
-image array, so the key is the set, not the array. The heads scored at an
-epoch's end therefore share one pass, and DIW's end-of-epoch scoring of
-the candidate its last joint attempt has just scored costs none.
-``evaluate`` is still called once per score, so the number of calls per
-DIW epoch stays 2 * tasks + attempts.
+Every dev score is one ``evaluate`` call. ``_run`` encodes the dev set
+once per set of parameters it scores and passes the features to every
+head's call; DIW's step hands back the features of its last joint attempt
+when that attempt is the candidate it keeps, so the epoch end encodes
+nothing more. The number of ``evaluate`` calls per DIW epoch is
+2 * tasks + attempts.
 
 The alpha gradient is computed analytically as g_i = <delta_i, grad of the
 dev loss at the mixed parameters>, so one dev-set gradient pass per tuning
@@ -93,15 +91,13 @@ class TrainResult:
 # shared epoch machinery
 
 
-def evaluate(model, dataset, task, batch_size=512):
+def evaluate(model, dataset, task, batch_size=512, features=None):
     """(accuracy, mean cross-entropy) of one task over a full dataset.
 
-    Argmax ties resolve to the lowest class index. The features come from
-    ``model.eval_features``, which re-encodes the dataset only when the
-    encoder's bits, the dataset or ``batch_size`` changed since its last
-    call; the head always runs. Scoring every head at one set of
-    parameters, or rescoring parameters just scored, therefore costs one
-    encoder pass, with results equal to the last bit to fresh passes.
+    Argmax ties resolve to the lowest class index. ``features`` is
+    ``model.eval_features(dataset, batch_size)`` at the model's current
+    parameters, from a caller that scores several heads there; without it
+    the dataset is encoded here. The head always runs.
     """
     n = len(dataset)
     if n == 0:
@@ -109,8 +105,10 @@ def evaluate(model, dataset, task, batch_size=512):
     labels = dataset.labels[task]
     correct = 0
     loss_sum = 0.0
+    if features is None:
+        features = model.eval_features(dataset, batch_size)
     chunks = chunk_indices(np.arange(n), batch_size)
-    for idx, feats in zip(chunks, model.eval_features(dataset, batch_size), strict=True):
+    for idx, feats in zip(chunks, features, strict=True):
         logits = model.head_logits(feats, task)
         pred = np.argmax(logits.data, axis=1)
         correct += int((pred == labels[idx]).sum())
@@ -228,27 +226,34 @@ def _run(model, dev_set, target, cfg, step):
 
     ``step(epoch, base, best)`` proposes the next base parameters and
     returns (next base, per-task mean train loss, extra EpochRow fields).
+    The extra fields may carry ``dev_features``, the dev set's
+    ``eval_features`` at the next base, which then is not encoded again.
     After each step every task is evaluated at the new base. Best snapshots
     track ``target``, or every task when ``target`` is None; only a run
     with a target records its dev loss.
     """
     tasks = model.task_ids
     tracked = tasks if target is None else [target]
+
+    def score(scored, features=None):
+        """{task: (accuracy, loss)} at the model's parameters, from one dev encoder pass."""
+        if features is None:
+            features = model.eval_features(dev_set, cfg.eval_batch_size)
+        return {task: evaluate(model, dev_set, task, cfg.eval_batch_size, features=features) for task in scored}
+
     base = model.snapshot()
     best = {}
-    for task in tracked:
-        acc, _ = evaluate(model, dev_set, task, cfg.eval_batch_size)
+    for task, (acc, _) in score(tracked).items():
         _update_best(best, task, 0, acc, base)
     rows = []
     for epoch in range(1, cfg.effective_epochs + 1):
         base, train_losses, extra = step(epoch, base, best)
         model.restore(base)
-        accs, losses = {}, {}
-        for task in tasks:
-            accs[task], losses[task] = evaluate(model, dev_set, task, cfg.eval_batch_size)
+        scores = score(tasks, extra.pop("dev_features", None))
+        accs = {task: acc for task, (acc, _) in scores.items()}
         for task in tracked:
             _update_best(best, task, epoch, accs[task], base)
-        target_loss = None if target is None else losses[target]
+        target_loss = None if target is None else scores[target][1]
         rows.append(EpochRow(epoch, train_losses, accs, target_dev_loss=target_loss, **extra))
     return TrainResult(tasks, rows, best)
 
@@ -344,7 +349,8 @@ def diw_train(train_set, dev_set, tasks, target, cfg, seed):
         for attempt in range(1, cfg.diw_patience + 1):
             w_norm = weights / weights.sum()
             disp, raw = _epoch_pass(model, base, batch_list, train_set, dict(zip(tasks, w_norm)), cfg)
-            a_joint, _ = evaluate(model, dev_set, target, cfg.eval_batch_size)
+            feats = model.eval_features(dev_set, cfg.eval_batch_size)
+            a_joint, _ = evaluate(model, dev_set, target, cfg.eval_batch_size, features=feats)
             candidates.append((a_joint, attempt, base + disp, raw))
             if a_joint > best[target].dev_accuracy:
                 break
@@ -352,10 +358,10 @@ def diw_train(train_set, dev_set, tasks, target, cfg, seed):
             model.restore(base)
         # an accepted attempt is the only one above the best accuracy, so
         # it is also the most accurate candidate
-        _, _, next_base, raw = max(candidates, key=lambda c: (c[0], -c[1]))
-        return next_base, raw, dict(
-            weights={t: float(w) for t, w in zip(tasks, weights)},
-            diw_attempts=len(candidates),
-        )
+        _, kept, next_base, raw = max(candidates, key=lambda c: (c[0], -c[1]))
+        extra = dict(weights={t: float(w) for t, w in zip(tasks, weights)}, diw_attempts=len(candidates))
+        if kept == len(candidates):  # the last attempt was encoded at next_base
+            extra["dev_features"] = feats
+        return next_base, raw, extra
 
     return _run(model, dev_set, target, cfg, step)

@@ -50,6 +50,9 @@ class TestSgdStep:
             SgdState(0.0, 0.5, 2)
         with pytest.raises(ConfigError):
             SgdState(0.1, 1.0, 2)
+        for rate in (np.nan, np.inf):
+            with pytest.raises(ConfigError, match="positive and finite"):
+                SgdState(rate, 0.5, 2)
 
 
 class TestClampWeights:

@@ -62,22 +62,6 @@ def test_every_output_byte_is_the_same_at_1_and_2_workers(tmp_path, monkeypatch,
     assert run_files(replace(config, out_dir=str(tmp_path / "two"))) == one
 
 
-@pytest.mark.parametrize(
-    "method, patience", [("singletask", 3), ("multitask", 3), ("avil", 3), ("diw", 1), ("diw", 3)]
-)
-def test_the_feature_memo_changes_no_output_byte(tmp_path, monkeypatch, method, patience):
-    config = replace(TINY, method=method, diw_patience=patience)
-    memoized = run_files(replace(config, out_dir=str(tmp_path / "memo")))
-    eval_features = model.MultiHeadModel.eval_features
-
-    def always_miss(self, dataset, batch_size):
-        self._features_memo = None
-        return eval_features(self, dataset, batch_size)
-
-    monkeypatch.setattr(model.MultiHeadModel, "eval_features", always_miss)
-    assert run_files(replace(config, out_dir=str(tmp_path / "fresh"))) == memoized
-
-
 def tiny_datasets(config, seed=2):
     return harness.seed_datasets(config, harness.load_pools(config)[0], seed)
 
@@ -111,6 +95,45 @@ def test_a_diw_patience_1_epoch_encodes_the_dev_set_three_times(encoder_passes):
     result = weighting.diw_train(train, dev, ["tl", "br"], "tl", config, 2)
     # two single passes and the joint attempt; the epoch end reuses the attempt's pass
     assert encoder_passes == [len(dev)] * (1 + 3 * len(result.rows))
+
+
+def test_a_diw_epoch_that_keeps_an_earlier_attempt_encodes_the_dev_set_once_more(monkeypatch, encoder_passes):
+    train, dev = tiny_datasets(TINY)  # diw.patience 3
+    accuracies = []
+    evaluate = weighting.evaluate
+
+    def recorded(*args, **kwargs):
+        acc, loss = evaluate(*args, **kwargs)
+        accuracies.append(acc)
+        return acc, loss
+
+    monkeypatch.setattr(weighting, "evaluate", recorded)
+    result = weighting.diw_train(train, dev, ["tl", "br"], "tl", TINY, 2)
+    # epoch 1 accepts its only attempt; epoch 2's three attempts tie, and
+    # a tie keeps the first, which is not the last one encoded
+    assert [row.diw_attempts for row in result.rows] == [1, 3]
+    assert len(set(accuracies[8:11])) == 1  # 1 before training, 2 + 1 + 2 in epoch 1, 2 singles
+    assert encoder_passes == [len(dev)] * (1 + (2 + 1) + (2 + 3 + 1))
+
+
+@pytest.mark.parametrize("best_epochs, passes", [((1, 1), 1), ((1, 2), 2)], ids=["one epoch", "two epochs"])
+def test_a_multitask_run_encodes_the_test_set_once_per_best_epoch(tmp_path, monkeypatch, encoder_passes,
+                                                                  best_epochs, passes):
+    config = replace(TINY, method="multitask", seeds=(1,), synthetic_test_n=50, out_dir=str(tmp_path))
+    pools = harness.load_pools(config)
+    tasks = sorted(pools[0].labels)
+    net = model.build_model(tasks, 1)
+    params = {1: net.snapshot(), 2: 1.5 * net.snapshot()}
+    best = {task: weighting.BestSnapshot(e, 0.5, params[e].copy()) for task, e in zip(tasks, best_epochs)}
+    monkeypatch.setattr(weighting, "multitask_train", lambda *args: weighting.TrainResult(tasks, [], best))
+    run_dir = harness.run_experiment(config, pools)
+    assert encoder_passes == [50] * passes
+    # each snapshot scores as it does from a pass of its own
+    expected = []
+    for task in tasks:
+        net.restore(best[task].params)
+        expected.append(format(100.0 * weighting.evaluate(net, pools[1], task, config.eval_batch_size)[0], ".6f"))
+    assert [row.split(",")[5] for row in (run_dir / "summary.csv").read_text().splitlines()[1:]] == expected
 
 
 def test_diw_evaluates_once_per_single_pass_attempt_and_task_at_the_epoch_end(monkeypatch):
@@ -288,8 +311,12 @@ def test_a_report_that_raises_mid_file_keeps_the_previous_files(tmp_path, broken
 
 
 def write_config(tmp_path, extra=""):
+    """The tiny run's configuration file ending in ``extra``, whose keys replace the tiny run's."""
+    given = {line.partition("=")[0] for line in extra.splitlines()}
+    keys = {**TINY_KEYS, "out.dir": tmp_path / "runs"}
+    text = "".join(f"{key}={value}\n" for key, value in keys.items() if key not in given)
     path = tmp_path / "run.cfg"
-    path.write_text(TINY_TEXT + f"out.dir={tmp_path / 'runs'}\n" + extra, encoding="utf-8")
+    path.write_text(text + extra, encoding="utf-8")
     return str(path)
 
 
@@ -328,7 +355,8 @@ def test_dev_split_larger_than_the_pool_is_a_cli_error(tmp_path, capsys):
 @pytest.mark.parametrize("key, raw", [("train.epochs", "1e3"), ("seeds", "1,x"), ("train.lr", "fast")])
 def test_unparsable_value_names_line_and_key(tmp_path, capsys, key, raw):
     line = config_error(tmp_path, capsys, f"{key}={raw}\n")
-    assert f"line {len(TINY_KEYS) + 2}" in line and key in line and raw in line
+    # the other tiny keys and out.dir, then the key that replaces the tiny run's
+    assert f"line {len(TINY_KEYS) + 1}" in line and key in line and raw in line
 
 
 @pytest.mark.parametrize(
@@ -369,6 +397,7 @@ def test_unknown_target_is_rejected_before_data_is_built(tmp_path, capsys, monke
         ("avil.meta_lr=0", "meta_learning_rate must be positive, got 0.0"),
         ("clamp.floor=0", "clamp_floor must be positive, got 0.0"),
         ("diw.eta_w=0", "diw_eta must be positive, got 0.0"),
+        ("train.lr=nan", "learning_rate must be finite, got nan"),
         ("diw.patience=0", "diw_patience must be >= 1, got 0"),
         ("train.subset=0", "train_subset must be >= 1, got 0"),
         ("train.subset=-3", "train_subset must be >= 1, got -3"),
@@ -378,6 +407,26 @@ def test_unknown_target_is_rejected_before_data_is_built(tmp_path, capsys, monke
 def test_bad_values_are_rejected_before_data_is_built(tmp_path, capsys, monkeypatch, extra, expected):
     monkeypatch.setattr(harness, "load_pools", lambda config: pytest.fail("data built before the check"))
     assert expected in config_error(tmp_path, capsys, extra)
+
+
+@pytest.mark.parametrize(
+    "line, expected",
+    [
+        ("train.lr=nan", "learning_rate must be finite, got nan"),
+        ("avil.meta_lr=inf", "meta_learning_rate must be finite, got inf"),
+        ("clamp.floor=nan", "clamp_floor must be finite, got nan"),
+        ("diw.eta_w=inf", "diw_eta must be finite, got inf"),
+    ],
+)
+def test_a_rate_that_is_not_finite_is_rejected(line, expected):
+    # NaN passed the positivity check: every comparison with it is False
+    with pytest.raises(harness.ConfigError, match=expected):
+        harness.parse_config_text(line + "\n")
+
+
+def test_a_key_given_twice_names_both_lines():
+    with pytest.raises(harness.ConfigError, match="line 3: 'train.lr' is already set on line 1"):
+        harness.parse_config_text("train.lr=0.1\ntrain.momentum=0.5\ntrain.lr=0.5\n")
 
 
 @pytest.mark.parametrize("subset", [0, -3])
