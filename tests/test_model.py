@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from avil import autodiff as ad
+from avil.data import MultiMnistSet
 from avil.model import (
     ENCODER_PARAMS,
     HEAD_PARAMS,
@@ -18,6 +19,7 @@ from avil.model import (
     load_checkpoint,
     save_checkpoint,
 )
+from avil.weighting import evaluate
 from conftest import toy_set
 
 
@@ -197,16 +199,61 @@ class TestSnapshotRestore:
 
 
 class TestEvalFeatures:
-    """Tape-free encoding of a whole set, chunk by chunk."""
+    """Tape-free encoding of a whole set, chunk by chunk, at every call.
+
+    A caller that scores several heads at one set of parameters encodes once
+    and hands the chunks to ``evaluate``.
+    """
 
     @pytest.fixture
     def net(self):
         return build_model(["tl", "br"], seed=5)
 
-    def test_chunks_follow_the_batch_size(self, net, encoder_passes):
-        feats = net.eval_features(toy_set(20, seed=6), 16)
-        assert encoder_passes == [16, 4]
-        assert [f.shape for f in feats] == [(16, 50), (4, 50)]
+    @pytest.fixture
+    def ds(self):
+        return toy_set(20, seed=6)
+
+    def test_unchanged_parameters_reuse_every_chunk(self, net, ds, encoder_passes):
+        first = net.eval_features(ds, 8)
+        assert encoder_passes == [8, 8, 4]
+        shared = [evaluate(net, ds, task, batch_size=8, features=first) for task in ("tl", "br")]
+        assert encoder_passes == [8, 8, 4]
+        assert shared == [evaluate(net, ds, task, batch_size=8) for task in ("tl", "br")]
+
+    def test_a_one_ulp_encoder_change_re_encodes(self, net, ds, encoder_passes):
+        net.eval_features(ds, 20)
+        theta = net.snapshot()
+        theta[ENCODER_PARAMS - 1] = np.nextafter(theta[ENCODER_PARAMS - 1], np.inf)  # last fc bias
+        net.restore(theta)
+        (feats,) = net.eval_features(ds, 20)
+        assert encoder_passes == [20, 20]
+        fresh = build_model(["tl", "br"], seed=0)
+        fresh.restore(theta)
+        assert feats.data.tobytes() == fresh.features(ds.pixels).data.tobytes()
+
+    def test_a_head_change_reuses_the_features_and_gives_the_new_result(self, net, ds, encoder_passes):
+        feats = net.eval_features(ds, 8)
+        before = evaluate(net, ds, "tl", batch_size=8, features=feats)
+        theta = net.snapshot()
+        theta[ENCODER_PARAMS:ENCODER_PARAMS + HEAD_PARAMS] *= -3.0  # the "br" head comes first
+        net.restore(theta)
+        shared = evaluate(net, ds, "br", batch_size=8, features=feats)
+        assert encoder_passes == [8, 8, 4]
+        fresh = build_model(["tl", "br"], seed=0)
+        fresh.restore(theta)
+        assert shared == evaluate(fresh, ds, "br", batch_size=8)
+        assert evaluate(net, ds, "tl", batch_size=8, features=feats) == before
+
+    @pytest.mark.parametrize("change", ["images", "batch size"])
+    def test_other_images_or_batch_size_re_encode(self, net, ds, encoder_passes, change):
+        net.eval_features(ds, 20)
+        if change == "images":
+            net.eval_features(MultiMnistSet.whole(ds.pixels.copy(), ds.labels, ds.split), 20)  # equal values, another set
+            assert encoder_passes == [20, 20]
+        else:
+            feats = net.eval_features(ds, 16)
+            assert encoder_passes == [20, 16, 4]
+            assert [f.shape for f in feats] == [(16, 50), (4, 50)]
 
     def test_two_sets_over_one_array_read_their_own_rows(self, net, encoder_passes):
         pool = toy_set(40, seed=6)
@@ -215,6 +262,14 @@ class TestEvalFeatures:
         (feats,) = net.eval_features(second, 20)
         assert encoder_passes == [20, 20]
         assert feats.data.tobytes() == net.features(pool.pixels[20:]).data.tobytes()
+
+    def test_a_tape_gets_fresh_tracked_features(self, net, ds, encoder_passes):
+        (untracked,) = net.eval_features(ds, 20)
+        with ad.Tape():
+            (taped,) = net.eval_features(ds, 20)
+        assert untracked.tape is None and taped.tape is not None
+        assert taped.data.tobytes() == untracked.data.tobytes()
+        assert encoder_passes == [20]  # the fixture counts tape-free passes only
 
 
 class TestWorkerThreads:

@@ -62,6 +62,23 @@ def test_every_output_byte_is_the_same_at_1_and_2_workers(tmp_path, monkeypatch,
     assert run_files(replace(config, out_dir=str(tmp_path / "two"))) == one
 
 
+@pytest.mark.parametrize(
+    "method, patience", [("singletask", 3), ("multitask", 3), ("avil", 3), ("diw", 1), ("diw", 3)]
+)
+def test_the_feature_memo_changes_no_output_byte(tmp_path, monkeypatch, method, patience):
+    """Features a caller encodes once and shares across ``evaluate`` calls
+    give the bytes of a run that encodes at every call."""
+    config = replace(TINY, method=method, diw_patience=patience)
+    shared = run_files(replace(config, out_dir=str(tmp_path / "shared")))
+    evaluate = weighting.evaluate
+
+    def encode_every_call(net, dataset, task, batch_size=512, features=None):
+        return evaluate(net, dataset, task, batch_size)
+
+    monkeypatch.setattr(weighting, "evaluate", encode_every_call)
+    assert run_files(replace(config, out_dir=str(tmp_path / "fresh"))) == shared
+
+
 def tiny_datasets(config, seed=2):
     return harness.seed_datasets(config, harness.load_pools(config)[0], seed)
 
