@@ -417,10 +417,11 @@ def conv2d(x, kernels, bias, pool=False):
     for bit and in both gradients' layouts, without ever holding the whole
     conv output; the conv output must have even spatial dims.
 
-    Accepts x in any layout and lays it out batch-innermost as (cin, h, w, b),
-    which is free for an activation and one small copy for the images. The
-    output and the input gradient are (b, c, h, w) views of batch-innermost
-    (c, h, w, b) memory.
+    Accepts x in any layout and lays it out batch-innermost as (cin, h, w, b)
+    in the result dtype of x and the kernels: free for an activation, and
+    for the images one small copy that also converts them. The output and
+    the input gradient are (b, c, h, w) views of batch-innermost (c, h, w, b)
+    memory.
 
     The output is computed one part at a time (``_forward_parts``): output
     rows of every image or, where a pooled conv's row pair is too big, that
@@ -458,11 +459,11 @@ def conv2d(x, kernels, bias, pool=False):
     ho, wo = h - k + 1, w - k + 1
     if pool and (ho % 2 or wo % 2):
         raise ShapeError(f"conv2d pool=True requires an even conv output, got {ho}x{wo} from input {x.shape}")
-    xt = np.ascontiguousarray(x.data.transpose(1, 2, 3, 0))
+    xt = np.ascontiguousarray(x.data.transpose(1, 2, 3, 0), dtype=np.result_type(kernels.data, x.data))
     win = sliding_window_view(xt, (k, k), axis=(1, 2))  # cin, ho, wo, b, k, k
     kmat = kernels.data.reshape(cout, -1)
     dtype = x.dtype
-    out_dtype = np.result_type(kmat, xt)
+    out_dtype = xt.dtype
 
     def patches(rs, images=slice(None), chans=slice(None)):
         """Patch rows of input channels chans, in (cin, ki, kj) order, for output rows rs of some images."""

@@ -12,10 +12,13 @@ place, so an interrupted run leaves no partial file.
 Reruns with an identical configuration produce byte-identical CSV files
 and checkpoints (tests/test_training.py).
 
-``ExperimentConfig`` holds every setting of a run. The trainers in
-``weighting`` read their values from it by attribute, and its
-``__post_init__`` checks them all, so a bad value fails before any data is
-built.
+``ExperimentConfig`` holds every setting of a run. Each field names its
+config-file key and parser next to its default (``_setting``), and
+``parse_config_text`` reads the keys from the fields. Its
+``__post_init__`` checks every value, so a bad value fails before any data
+is built. ``run_experiment`` calls ``weighting.<method>_train(train_set,
+dev_set, config, seed)`` for each seed, and the trainers read their
+settings from the config by attribute.
 
 ``run_experiment`` first fixes the C library's two heap thresholds with
 glibc's ``mallopt`` (``_keep_heap_resident``): up to 256 MiB of freed heap
@@ -73,33 +76,46 @@ METHODS = ("singletask", "multitask", "diw", "avil")
 TARGETS = (datamod.TASK_TOP_LEFT, datamod.TASK_BOTTOM_RIGHT)
 
 
+def parse_seeds(raw):
+    """Seeds from a comma- or space-separated list, as ``seeds=`` and ``--seeds`` give them."""
+    try:
+        return tuple(int(s) for s in raw.replace(",", " ").split())
+    except ValueError:
+        raise ConfigError(f"bad seed list {raw!r}") from None
+
+
+def _setting(key, default, parse=None):
+    """A config field read from the file's ``key``, parsed by ``parse`` (by default the default's type)."""
+    return field(default=default, metadata={"key": key, "parse": parse or type(default)})
+
+
 @dataclass
 class ExperimentConfig:
-    method: str = "avil"
-    target: str = datamod.TASK_TOP_LEFT
-    seeds: tuple = (1, 2, 3)
-    scale: str = "desk"
-    epochs: int | None = None
-    batch_size: int = 256
-    learning_rate: float = 0.05
-    momentum: float = 0.9
-    rho: float = 1.0
-    dtype: str = "float32"
-    train_subset: int | None = None
-    tune_steps: int = 10
-    meta_learning_rate: float = 0.005
-    meta_momentum: float = 0.5
-    clamp_floor: float = 1e-6
-    diw_eta: float = 0.1
-    diw_patience: int = 10
-    eval_batch_size: int = 512
-    data_source: str = "auto"
-    data_dir: str = "data"
-    pair_seed: int = 1234
-    synthetic_n: int = 60_000
-    synthetic_test_n: int = 10_000
-    dev_size: int = DEV_SIZE
-    out_dir: str = "runs"
+    method: str = _setting("method", "avil")
+    target: str = _setting("target", datamod.TASK_TOP_LEFT)
+    seeds: tuple = _setting("seeds", (1, 2, 3), parse_seeds)
+    scale: str = _setting("scale", "desk")
+    epochs: int | None = _setting("train.epochs", None, int)
+    batch_size: int = _setting("train.batch_size", 256)
+    learning_rate: float = _setting("train.lr", 0.05)
+    momentum: float = _setting("train.momentum", 0.9)
+    rho: float = _setting("train.rho", 1.0)
+    dtype: str = _setting("train.dtype", "float32")
+    train_subset: int | None = _setting("train.subset", None, int)
+    tune_steps: int = _setting("avil.s", 10)
+    meta_learning_rate: float = _setting("avil.meta_lr", 0.005)
+    meta_momentum: float = _setting("avil.meta_momentum", 0.5)
+    clamp_floor: float = _setting("clamp.floor", 1e-6)
+    diw_eta: float = _setting("diw.eta_w", 0.1)
+    diw_patience: int = _setting("diw.patience", 10)
+    eval_batch_size: int = _setting("eval.batch_size", 512)
+    data_source: str = _setting("data.source", "auto")
+    data_dir: str = _setting("data.dir", "data")
+    pair_seed: int = _setting("data.pair_seed", 1234)
+    synthetic_n: int = _setting("data.synthetic_n", 60_000)
+    synthetic_test_n: int = _setting("data.synthetic_test_n", 10_000)
+    dev_size: int = _setting("data.dev_size", DEV_SIZE)
+    out_dir: str = _setting("out.dir", "runs")
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -114,10 +130,13 @@ class ExperimentConfig:
             raise ConfigError("at least one seed is required")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"seeds must be distinct, got {','.join(str(s) for s in self.seeds)}")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be >= 0, got {min(self.seeds)}")
         # the trainer values, checked before any data is built
         if self.effective_epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.effective_epochs}")
-        for name in ("batch_size", "tune_steps", "diw_patience", "eval_batch_size"):
+        for name in ("batch_size", "tune_steps", "diw_patience", "eval_batch_size",
+                     "dev_size", "synthetic_n", "synthetic_test_n"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.train_subset is not None and self.train_subset < 1:
@@ -161,41 +180,8 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 # configuration file: flat key=value with dotted sections
 
-_KEY_MAP = {
-    "method": ("method", str),
-    "target": ("target", str),
-    "seeds": ("seeds", "seeds"),
-    "scale": ("scale", str),
-    "train.lr": ("learning_rate", float),
-    "train.momentum": ("momentum", float),
-    "train.batch_size": ("batch_size", int),
-    "train.epochs": ("epochs", int),
-    "train.rho": ("rho", float),
-    "train.dtype": ("dtype", str),
-    "train.subset": ("train_subset", int),
-    "avil.s": ("tune_steps", int),
-    "avil.meta_lr": ("meta_learning_rate", float),
-    "avil.meta_momentum": ("meta_momentum", float),
-    "clamp.floor": ("clamp_floor", float),
-    "diw.eta_w": ("diw_eta", float),
-    "diw.patience": ("diw_patience", int),
-    "eval.batch_size": ("eval_batch_size", int),
-    "data.source": ("data_source", str),
-    "data.dir": ("data_dir", str),
-    "data.pair_seed": ("pair_seed", int),
-    "data.synthetic_n": ("synthetic_n", int),
-    "data.synthetic_test_n": ("synthetic_test_n", int),
-    "data.dev_size": ("dev_size", int),
-    "out.dir": ("out_dir", str),
-}
-
-
-def parse_seeds(raw):
-    """Seeds from a comma- or space-separated list, as ``seeds=`` and ``--seeds`` give them."""
-    try:
-        return tuple(int(s) for s in raw.replace(",", " ").split())
-    except ValueError:
-        raise ConfigError(f"bad seed list {raw!r}") from None
+# The config-file key and parser of each field, from the fields themselves.
+_SETTINGS = {f.metadata["key"]: f for f in fields(ExperimentConfig)}
 
 
 def parse_config_text(text, base=None):
@@ -210,14 +196,14 @@ def parse_config_text(text, base=None):
         key, _, raw = line.partition("=")
         key = key.strip()
         raw = raw.strip()
-        if key not in _KEY_MAP:
+        if key not in _SETTINGS:
             raise ConfigError(f"line {lineno}: unknown configuration key {key!r}")
         if key in seen:
             raise ConfigError(f"line {lineno}: {key!r} is already set on line {seen[key]}")
         seen[key] = lineno
-        attr, conv = _KEY_MAP[key]
+        setting = _SETTINGS[key]
         try:
-            values[attr] = parse_seeds(raw) if conv == "seeds" else conv(raw)
+            values[setting.name] = setting.metadata["parse"](raw)
         except ValueError:
             raise ConfigError(f"line {lineno}: bad value {raw!r} for {key!r}") from None
     base = base or ExperimentConfig()
@@ -481,17 +467,6 @@ def _one_blas_thread():
     set_num_threads(1)
 
 
-def _dispatch(config, train_set, dev_set, seed):
-    tasks = sorted(train_set.labels)
-    if config.method == "singletask":
-        return weighting.singletask_train(train_set, dev_set, config.target, config, seed)
-    if config.method == "multitask":
-        return weighting.multitask_train(train_set, dev_set, tasks, config, seed)
-    if config.method == "diw":
-        return weighting.diw_train(train_set, dev_set, tasks, config.target, config, seed)
-    return weighting.avil_train(train_set, dev_set, tasks, config.target, config, seed)
-
-
 def run_experiment(config, pools=None):
     """Run the configured method over all seeds; returns the run directory.
 
@@ -514,7 +489,8 @@ def run_experiment(config, pools=None):
     for seed in config.seeds:
         train_set, dev_set = seed_datasets(config, train_pool, seed)
         try:
-            result = _dispatch(config, train_set, dev_set, seed)
+            # looked up per seed, so a wrapper set on the module attribute is the one called
+            result = getattr(weighting, f"{config.method}_train")(train_set, dev_set, config, seed)
         except NanLossError as exc:
             reported = sorted(train_set.labels) if config.method == "multitask" else [config.target]
             summary_rows += [{"seed": seed, "task": task, "status": f"failed:{exc}"} for task in reported]

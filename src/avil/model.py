@@ -130,11 +130,7 @@ class MultiHeadModel:
         Under an active tape the result is differentiable with respect to
         the encoder parameters.
         """
-        if isinstance(images, ad.Tensor):
-            x = images
-        else:  # converted straight into conv2d's batch-innermost layout: one copy, not two
-            x = ad.Tensor(np.moveaxis(np.moveaxis(np.asarray(images), 0, -1).astype(self.dtype, order="C"), -1, 0))
-        x = ad.relu(ad.conv2d(x, self._encoder["conv1_w"], self._encoder["conv1_b"], pool=True))
+        x = ad.relu(ad.conv2d(ad.Tensor(images), self._encoder["conv1_w"], self._encoder["conv1_b"], pool=True))
         x = ad.relu(ad.conv2d(x, self._encoder["conv2_w"], self._encoder["conv2_b"], pool=True))
         x = ad.reshape(x, (x.shape[0], ENCODER_SHAPES[4][1][0]))
         return ad.relu(ad.linear(x, self._encoder["fc_w"], self._encoder["fc_b"]))

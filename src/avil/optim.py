@@ -39,6 +39,6 @@ def sgd_step(state, params, grads):
     return params - state.learning_rate * state.velocity
 
 
-def clamp_weights(weights, floor=1e-6):
+def clamp_weights(weights, floor):
     """Elementwise max(w, floor); idempotent."""
     return np.maximum(np.asarray(weights, dtype=np.float64), floor)

@@ -18,10 +18,14 @@ with alpha pinned to 1 retraces singletask training exactly
 (tests/test_training.py::test_one_task_avil_with_unit_alphas_is_singletask).
 
 All four regimes share one epoch loop (``_run``): each supplies only the
-step that proposes the next epoch's base parameters. Every trainer reads
-its settings as attributes of the run's ``harness.ExperimentConfig``
-(``effective_epochs``, ``batch_size``, ``learning_rate`` and so on); this
-module imports no configuration type, and the config validates the values.
+step that proposes the next epoch's base parameters. Every trainer is
+``<method>_train(train_set, dev_set, cfg, seed)``: the tasks are
+``sorted(train_set.labels)``, the target is ``cfg.target``, and every other
+setting is an attribute of the run's ``harness.ExperimentConfig``
+(``effective_epochs``, ``batch_size``, ``learning_rate`` and so on). The
+building blocks below the trainers take each setting as an argument with
+no default. This module imports no configuration type, and the config
+validates the values.
 
 Every dev score is one ``evaluate`` call. ``_run`` encodes the dev set
 once per set of parameters it scores and passes the features to every
@@ -91,7 +95,7 @@ class TrainResult:
 # shared epoch machinery
 
 
-def evaluate(model, dataset, task, batch_size=512, features=None):
+def evaluate(model, dataset, task, batch_size, features=None):
     """(accuracy, mean cross-entropy) of one task over a full dataset.
 
     Argmax ties resolve to the lowest class index. ``features`` is
@@ -158,7 +162,7 @@ def collect_delta(model, base, task, w_norm, order, dataset, cfg):
 # alpha tuning
 
 
-def dev_loss_grad(model, dev_set, task, batch_size=512):
+def dev_loss_grad(model, dev_set, task, batch_size):
     """Callable theta -> (dev loss, dev gradient) for one task's mean loss.
 
     The gradient of the full-set mean is accumulated exactly as the
@@ -199,7 +203,7 @@ def alpha_gradient(loss_grad, base, deltas, alphas):
     return g
 
 
-def tune_alphas(loss_grad, base, deltas, steps=10, learning_rate=0.005, momentum=0.5):
+def tune_alphas(loss_grad, base, deltas, steps, learning_rate, momentum):
     """Mixing coefficients after ``steps`` meta-SGD steps from all-ones."""
     if steps < 1:
         raise ConfigError(f"steps must be >= 1, got {steps}")
@@ -258,8 +262,9 @@ def _run(model, dev_set, target, cfg, step):
     return TrainResult(tasks, rows, best)
 
 
-def singletask_train(train_set, dev_set, task, cfg, seed):
-    """Plain mini-batch SGD on one task; model has only that task's head."""
+def singletask_train(train_set, dev_set, cfg, seed):
+    """Plain mini-batch SGD on the target task; model has only that task's head."""
+    task = cfg.target
     model = build_model([task], seed, dtype=cfg.np_dtype)
 
     def step(epoch, base, best):
@@ -270,12 +275,12 @@ def singletask_train(train_set, dev_set, task, cfg, seed):
     return _run(model, dev_set, task, cfg, step)
 
 
-def multitask_train(train_set, dev_set, tasks, cfg, seed):
+def multitask_train(train_set, dev_set, cfg, seed):
     """Joint training: per batch, the mean of all task losses on shared input.
 
     Keeps one best snapshot per task.
     """
-    tasks = sorted(tasks)
+    tasks = sorted(train_set.labels)
     if len(tasks) < 2:
         raise ConfigError("multitask training requires at least two tasks")
     model = build_model(tasks, seed, dtype=cfg.np_dtype)
@@ -289,9 +294,9 @@ def multitask_train(train_set, dev_set, tasks, cfg, seed):
     return _run(model, dev_set, None, cfg, step)
 
 
-def avil_train(train_set, dev_set, tasks, target, cfg, seed):
-    """Delta-collection + alpha-tuning training loop optimizing one target task."""
-    tasks = sorted(tasks)
+def avil_train(train_set, dev_set, cfg, seed):
+    """Delta-collection + alpha-tuning training loop optimizing the target task."""
+    tasks, target = sorted(train_set.labels), cfg.target
     if target not in tasks:
         raise ConfigError(f"target {target!r} not in tasks {tasks}")
     model = build_model(tasks, seed, dtype=cfg.np_dtype)
@@ -321,7 +326,7 @@ def avil_train(train_set, dev_set, tasks, target, cfg, seed):
     return _run(model, dev_set, target, cfg, step)
 
 
-def diw_train(train_set, dev_set, tasks, target, cfg, seed):
+def diw_train(train_set, dev_set, cfg, seed):
     """Discriminative importance weighting with a reset-and-retrain inner loop.
 
     Per epoch: each task contributes an unweighted single-task epoch from
@@ -331,7 +336,7 @@ def diw_train(train_set, dev_set, tasks, target, cfg, seed):
     eta * (a_i - a_joint), the model resets, and the loop retries, giving
     up after ``diw_patience`` attempts and accepting the best candidate.
     """
-    tasks = sorted(tasks)
+    tasks, target = sorted(train_set.labels), cfg.target
     if target not in tasks:
         raise ConfigError(f"target {target!r} not in tasks {tasks}")
     model = build_model(tasks, seed, dtype=cfg.np_dtype)

@@ -57,17 +57,17 @@ class TestSgdStep:
 
 class TestClampWeights:
     def test_negative_entries_hit_floor(self):
-        np.testing.assert_array_equal(clamp_weights(np.array([-0.3, 0.5])), [1e-6, 0.5])
+        np.testing.assert_array_equal(clamp_weights(np.array([-0.3, 0.5]), 1e-6), [1e-6, 0.5])
 
     def test_above_floor_unchanged(self):
         w = np.array([0.2, 1.0, 3.5])
-        np.testing.assert_array_equal(clamp_weights(w), w)
+        np.testing.assert_array_equal(clamp_weights(w, 1e-6), w)
 
     def test_zeros_hit_floor(self):
-        np.testing.assert_array_equal(clamp_weights(np.zeros(2)), [1e-6, 1e-6])
+        np.testing.assert_array_equal(clamp_weights(np.zeros(2), 1e-6), [1e-6, 1e-6])
 
     def test_idempotent_and_floor_respected(self, rng):
         w = rng.standard_normal(20)
-        once = clamp_weights(w)
-        np.testing.assert_array_equal(clamp_weights(once), once)
+        once = clamp_weights(w, 1e-6)
+        np.testing.assert_array_equal(clamp_weights(once, 1e-6), once)
         assert (once >= 1e-6).all()

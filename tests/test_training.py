@@ -1,10 +1,11 @@
 """Whole-system tests: complete training runs on a tiny synthetic
 configuration, and the command line's handling of bad configuration."""
 
+import inspect
 import platform
 import resource
 import struct
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -72,7 +73,7 @@ def test_the_feature_memo_changes_no_output_byte(tmp_path, monkeypatch, method, 
     shared = run_files(replace(config, out_dir=str(tmp_path / "shared")))
     evaluate = weighting.evaluate
 
-    def encode_every_call(net, dataset, task, batch_size=512, features=None):
+    def encode_every_call(net, dataset, task, batch_size, features=None):
         return evaluate(net, dataset, task, batch_size)
 
     monkeypatch.setattr(weighting, "evaluate", encode_every_call)
@@ -101,7 +102,7 @@ def test_a_seeds_sets_share_the_pools_images(traced_peak):
 
 def test_the_heads_share_one_encoder_pass_per_epoch_end(encoder_passes):
     train, dev = tiny_datasets(TINY)
-    result = weighting.multitask_train(train, dev, ["tl", "br"], TINY, 2)
+    result = weighting.multitask_train(train, dev, TINY, 2)
     # one chunk: eval.batch_size 64 covers the 60-image dev set
     assert encoder_passes == [len(dev)] * (1 + len(result.rows))
 
@@ -109,7 +110,7 @@ def test_the_heads_share_one_encoder_pass_per_epoch_end(encoder_passes):
 def test_a_diw_patience_1_epoch_encodes_the_dev_set_three_times(encoder_passes):
     config = replace(TINY, diw_patience=1)
     train, dev = tiny_datasets(config)
-    result = weighting.diw_train(train, dev, ["tl", "br"], "tl", config, 2)
+    result = weighting.diw_train(train, dev, config, 2)
     # two single passes and the joint attempt; the epoch end reuses the attempt's pass
     assert encoder_passes == [len(dev)] * (1 + 3 * len(result.rows))
 
@@ -125,7 +126,7 @@ def test_a_diw_epoch_that_keeps_an_earlier_attempt_encodes_the_dev_set_once_more
         return acc, loss
 
     monkeypatch.setattr(weighting, "evaluate", recorded)
-    result = weighting.diw_train(train, dev, ["tl", "br"], "tl", TINY, 2)
+    result = weighting.diw_train(train, dev, TINY, 2)
     # epoch 1 accepts its only attempt; epoch 2's three attempts tie, and
     # a tie keeps the first, which is not the last one encoded
     assert [row.diw_attempts for row in result.rows] == [1, 3]
@@ -164,19 +165,18 @@ def test_diw_evaluates_once_per_single_pass_attempt_and_task_at_the_epoch_end(mo
         return evaluate(*args, **kwargs)
 
     monkeypatch.setattr(weighting, "evaluate", counted)
-    tasks = ["tl", "br"]
-    result = weighting.diw_train(train, dev, tasks, "tl", TINY, 2)
+    result = weighting.diw_train(train, dev, TINY, 2)
     assert max(row.diw_attempts for row in result.rows) > 1  # the retry loop ran
-    assert len(calls) == 1 + sum(2 * len(tasks) + row.diw_attempts for row in result.rows)
+    assert len(calls) == 1 + sum(2 * len(train.labels) + row.diw_attempts for row in result.rows)
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_one_task_avil_with_unit_alphas_is_singletask(monkeypatch, dtype):
     config = replace(TINY, dtype=dtype, rho=0.5, epochs=3)
     train, dev = harness.seed_datasets(config, harness.load_pools(config)[0], 2)
-    single = weighting.singletask_train(train, dev, "tl", config, 2)
+    single = weighting.singletask_train(train, dev, config, 2)
     monkeypatch.setattr(weighting, "tune_alphas", lambda loss_grad, base, deltas, **kw: np.ones(len(deltas)))
-    avil = weighting.avil_train(train, dev, ["tl"], "tl", config, 2)
+    avil = weighting.avil_train(replace(train, labels={"tl": train.labels["tl"]}), dev, config, 2)
     assert single.best.keys() == avil.best.keys() == {"tl"}
     assert single.best["tl"].epoch == avil.best["tl"].epoch
     np.testing.assert_array_equal(single.best["tl"].params, avil.best["tl"].params)
@@ -419,6 +419,10 @@ def test_unknown_target_is_rejected_before_data_is_built(tmp_path, capsys, monke
         ("train.subset=0", "train_subset must be >= 1, got 0"),
         ("train.subset=-3", "train_subset must be >= 1, got -3"),
         ("train.rho=0", "rho must be in (0, 1], got 0.0"),
+        ("seeds=-1", "seeds must be >= 0, got -1"),
+        ("data.dev_size=0", "dev_size must be >= 1, got 0"),
+        ("data.synthetic_n=0", "synthetic_n must be >= 1, got 0"),
+        ("data.synthetic_test_n=0", "synthetic_test_n must be >= 1, got 0"),
     ],
 )
 def test_bad_values_are_rejected_before_data_is_built(tmp_path, capsys, monkeypatch, extra, expected):
@@ -439,6 +443,22 @@ def test_a_rate_that_is_not_finite_is_rejected(line, expected):
     # NaN passed the positivity check: every comparison with it is False
     with pytest.raises(harness.ConfigError, match=expected):
         harness.parse_config_text(line + "\n")
+
+
+def test_every_setting_has_one_key_and_no_key_repeats():
+    settings = fields(harness.ExperimentConfig)
+    keys = [f.metadata["key"] for f in settings]
+    assert all(isinstance(key, str) and key for key in keys)
+    assert len(set(keys)) == len(keys) == len(harness._SETTINGS)
+    # each parser matches its field's annotation: a default written as 1 for a float would parse "0.5" as an int
+    parsers = {"str": str, "int": int, "int | None": int, "float": float, "tuple": harness.parse_seeds}
+    assert {f.name: f.metadata["parse"] for f in settings} == {f.name: parsers[f.type] for f in settings}
+
+
+@pytest.mark.parametrize("method", harness.METHODS)
+def test_every_method_names_a_trainer_with_the_one_signature(method):
+    trainer = getattr(weighting, f"{method}_train")
+    assert list(inspect.signature(trainer).parameters) == ["train_set", "dev_set", "cfg", "seed"]
 
 
 def test_a_key_given_twice_names_both_lines():

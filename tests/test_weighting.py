@@ -182,13 +182,13 @@ class TestAlphaGradient:
         model = build_model(["tl"], seed=0, dtype=np.float64)
         empty = toy_set(1, seed=0).take(np.array([], dtype=int))
         with pytest.raises(ConfigError, match="empty"):
-            dev_loss_grad(model, empty, "tl")
+            dev_loss_grad(model, empty, "tl", batch_size=512)
 
 
 class TestTuneAlphas:
     def test_zero_deltas_keep_alphas_at_one(self, rng):
         lg = quadratic_loss_grad(rng.standard_normal(10))
-        alphas = tune_alphas(lg, rng.standard_normal(10), [np.zeros(10)], steps=10)
+        alphas = tune_alphas(lg, rng.standard_normal(10), [np.zeros(10)], steps=10, learning_rate=0.005, momentum=0.5)
         np.testing.assert_array_equal(alphas, np.ones(1))
 
     def test_alphas_start_at_one(self, rng):
@@ -201,7 +201,7 @@ class TestTuneAlphas:
 
         base = rng.standard_normal(10)
         deltas = [rng.standard_normal(10)]
-        tune_alphas(lg, base, deltas, steps=3)
+        tune_alphas(lg, base, deltas, steps=3, learning_rate=0.005, momentum=0.5)
         assert len(thetas) == 3
         np.testing.assert_array_equal(thetas[0], combine(base, deltas, np.ones(1)))
 
