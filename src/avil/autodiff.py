@@ -51,18 +51,20 @@ activation to (batch, features) is a view in both directions.
 
 ``conv2d`` never holds a whole patch matrix, which is k*k = 25 times its
 input. Its forward works one part of the output at a time, the parts in
-flight together about ``_BLOCK_ELEMENTS`` = 2**21 elements (16 MiB in
-float64) of patches and, pooled, of part-sized conv outputs; its backward
-works in blocks of output rows of about ``_BLOCK_ELEMENTS`` patch elements
-and at least one row. So peak memory falls by more than half. Parts and
-blocks also stay under the 32 MiB mmap threshold that ``harness`` fixes for
-a run (glibc's own ceiling otherwise): every request above it is served
-from freshly mapped, zero-filled pages, which cost more than the GEMM they
-feed (a float64 batch-512 model forward took 55-68 ms with whole patch
-matrices and 27-34 ms in blocks, 2 cores). A tape keeps only the input: the
-kernel gradient rebuilds each block's patches and sums the per-block GEMMs,
-so it moves in the last bits against one whole-matrix GEMM; the output, the
-bias gradient and the input gradient do not.
+flight together about ``_BLOCK_BYTES`` = 8 MiB of patches and, pooled, of
+part-sized conv outputs; its backward works in blocks of output rows of
+about ``_BLOCK_BYTES`` of patches and at least one row. So peak memory
+falls by more than half. Parts and blocks also stay under the 32 MiB mmap
+threshold that ``harness`` fixes for a run (glibc's own ceiling otherwise):
+every request above it is served from freshly mapped, zero-filled pages,
+which cost more than the GEMM they feed (a float64 batch-512 model forward
+took 55-68 ms with whole patch matrices and 27-34 ms in blocks, 2 cores).
+The budget is in bytes, the unit of what it bounds, so a float64 part or
+block holds half the elements of a float32 one. A tape keeps only the
+input: the kernel gradient rebuilds each block's patches and sums the
+per-block GEMMs, so it moves in the last bits against one whole-matrix
+GEMM, and with the block size; the output, the bias gradient and the input
+gradient do not.
 
 The encoder kernels split their work over ``_WORKERS`` threads, the cores
 this process may run on: the calling thread and a pool, each thread taking
@@ -73,8 +75,8 @@ no worker enters an op. Each split computes every output element with the
 same operations in the same order as one thread, so results are
 byte-identical at any worker count:
 
-- ``conv2d`` forward: parts of about ``_BLOCK_ELEMENTS / _WORKERS``
-  elements, each taken by the next free thread: output rows of every image
+- ``conv2d`` forward: parts of about ``_BLOCK_BYTES / _WORKERS``
+  bytes, each taken by the next free thread: output rows of every image
   (row pairs when pooled) or, where a pooled conv's row pair is too big,
   that row pair of a span of images. Pooling is elementwise. A part's GEMM
   sums over the patch rows (cin*k*k), which no split divides, and an output
@@ -94,11 +96,12 @@ byte-identical at any worker count:
   (forward and VJP): channels, elementwise or one sum per channel.
 - ``linear``, ``cross_entropy_mean`` and the helpers run whole.
 
-An elementwise kernel splits only from ``_SPLIT_ELEMENTS`` elements,
-below which handing a part to a thread costs more than it saves. Each part
-runs under the caller's floating-point error state, and an exception in
-any part is raised to the caller. The kernels pay off with BLAS on one
-thread, which ``harness`` sets for a run (see there).
+An elementwise kernel splits only from ``_SPLIT_ELEMENTS`` elements, and
+``conv2d``'s kernel and input gradients only from ``_SPLIT_PATCH_BYTES`` of
+patches, below which handing a part to a thread costs more than it saves.
+Each part runs under the caller's floating-point error state, and an
+exception in any part is raised to the caller. The kernels pay off with
+BLAS on one thread, which ``harness`` sets for a run (see there).
 """
 
 from __future__ import annotations
@@ -328,6 +331,13 @@ def _workers_for(elements):
     return _WORKERS if elements >= _SPLIT_ELEMENTS else 1
 
 
+# Patch bytes below which conv2d's backward GEMMs run whole, not split by
+# input channel. On 2 shared cores conv2's kernel and input gradients broke
+# even at 2 workers near batch 30 in float32 and 17 in float64, 1.9 and 2.2
+# MB of patches; at batch 8 the split took 6-39% longer.
+_SPLIT_PATCH_BYTES = 2 << 20
+
+
 def _channel_parts(a):
     """Index tuples cutting a 4-d (b, c, h, w) array into a channel range per worker, else the whole array."""
     if a.ndim != 4:
@@ -370,22 +380,24 @@ def linear(x, weight, bias):
     )
 
 
-# Patch elements in one row block of conv2d: 8 MiB in float32, 16 MiB in
-# float64, bounding peak memory and staying under the 32 MiB mmap threshold
-# (fixed in harness) above which glibc maps every request fresh.
-_BLOCK_ELEMENTS = 1 << 21
+# Bytes of patches in one row block of conv2d, in either dtype (2**21
+# float32 or 2**20 float64 elements), bounding peak memory and staying under
+# the 32 MiB mmap threshold (fixed in harness) above which glibc maps every
+# request fresh.
+_BLOCK_BYTES = 8 << 20
 
 
-def _row_blocks(ho, row_elements):
-    """Slices of output rows holding about _BLOCK_ELEMENTS patch elements each, at least one row."""
-    rows = max(1, _BLOCK_ELEMENTS // row_elements)
+def _row_blocks(ho, row_elements, block):
+    """Slices of output rows holding about ``block`` patch elements each, at least one row."""
+    rows = max(1, block // row_elements)
     return [slice(r, min(r + rows, ho)) for r in range(0, ho, rows)]
 
 
-def _forward_parts(ho, b, row_elements, step):
-    """(output rows, images) slices of a conv forward, parts of about _BLOCK_ELEMENTS / _WORKERS elements.
+def _forward_parts(ho, b, row_elements, step, block):
+    """(output rows, images) slices of a conv forward, parts of about ``block / _WORKERS`` elements.
 
-    ``row_elements`` is what one output row of one image needs. A part takes
+    ``block`` is ``_BLOCK_BYTES`` in elements of the conv's compute dtype,
+    and ``row_elements`` what one output row of one image needs. A part takes
     a multiple of ``step`` whole rows of every image while ``step`` rows
     fit, the last part maybe fewer; else ``step`` rows of a span of images,
     the spans of a batch differing by at most one image. A plain conv
@@ -400,7 +412,7 @@ def _forward_parts(ho, b, row_elements, step):
     or 16 columns per image; cut into column pairs, odd batches gave parts
     of 4 columns per image, whose outputs moved at 3 or more workers.
     """
-    per_part = _BLOCK_ELEMENTS // _WORKERS // row_elements  # rows of one image
+    per_part = block // _WORKERS // row_elements  # rows of one image
     rows = per_part // b // step * step
     if rows or step == 1:
         rows = max(rows, 1)
@@ -432,14 +444,14 @@ def conv2d(x, kernels, bias, pool=False):
     straight into its output's rows; a pooled one into a part-sized buffer,
     which it pools into its output there (and into the masks, under a tape).
     Each part goes to the next free worker thread, and holds about
-    ``_BLOCK_ELEMENTS / _WORKERS`` elements of patches and conv buffer, so no
+    ``_BLOCK_BYTES / _WORKERS`` bytes of patches and conv buffer, so no
     temporary grows with k*k times the input: peak memory stays near that of
     the input, output and gradients, and no part reaches the 32 MiB mmap
     threshold (see ``harness``) above which glibc maps and zero-fills fresh
     pages on every request.
 
     A tape keeps only the input. The kernel gradient rebuilds the patches
-    of blocks of ``_BLOCK_ELEMENTS`` and sums the per-block GEMMs, block by
+    of blocks of ``_BLOCK_BYTES`` and sums the per-block GEMMs, block by
     block, each worker for its own patch rows; the input gradient forms one
     block's patch gradient at a time and does its k*k shifted adds, each
     worker for its own channels. A pooled conv records these rules on a
@@ -464,6 +476,7 @@ def conv2d(x, kernels, bias, pool=False):
     kmat = kernels.data.reshape(cout, -1)
     dtype = x.dtype
     out_dtype = xt.dtype
+    block = _BLOCK_BYTES // out_dtype.itemsize  # elements of the compute dtype
 
     def patches(rs, images=slice(None), chans=slice(None)):
         """Patch rows of input channels chans, in (cin, ki, kj) order, for output rows rs of some images."""
@@ -491,11 +504,12 @@ def conv2d(x, kernels, bias, pool=False):
 
     # per output position of an image a part holds a patch column and, pooled, a conv buffer column
     row_elements = (kmat.shape[1] + (cout if pool else 0)) * wo
-    _split(forward, _forward_parts(ho, b, row_elements, 2 if pool else 1))
+    _split(forward, _forward_parts(ho, b, row_elements, 2 if pool else 1, block))
 
-    # the backward GEMMs: one per block, each split by input channel
-    blocks = _row_blocks(ho, kmat.shape[1] * wo * b)
-    channels = _spans(cin, _WORKERS)
+    # the backward GEMMs: one per block, each split by input channel unless small
+    blocks = _row_blocks(ho, kmat.shape[1] * wo * b, block)
+    small = kmat.shape[1] * ho * wo * b * out_dtype.itemsize < _SPLIT_PATCH_BYTES
+    channels = _spans(cin, 1 if small else _WORKERS)
 
     def batch_innermost(g):
         return np.ascontiguousarray(g.transpose(1, 2, 3, 0))  # free when g is batch-innermost

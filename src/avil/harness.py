@@ -425,7 +425,8 @@ _HEAP_TRIM_THRESHOLD = 256 << 20
 # Requests this large are mapped fresh: glibc's own dynamic ceiling on 64-bit,
 # above every temporary made here. A forward pass holds no whole conv output;
 # the largest temporary is the gradient of one, conv1's in a float64
-# batch-512 backward (23.6 MB), then a 16 MiB float64 block of conv patches.
+# batch-512 backward (23.6 MB), then an 8 MiB block of conv patches in either
+# dtype (``autodiff._BLOCK_BYTES``).
 _HEAP_MMAP_THRESHOLD = 32 << 20
 
 
@@ -541,6 +542,14 @@ def _read_csv(path, columns):
     return rows
 
 
+def _number(path, lineno, row, column):
+    """A cell of row ``lineno`` of ``_read_csv(path, ...)`` as a float; else a ConfigError naming the cell."""
+    try:
+        return float(row[column])
+    except ValueError:
+        raise ConfigError(f"{path}: line {lineno}, column {column}: {row[column]!r} is not a number") from None
+
+
 def report(run_dir):
     """Comparison table across finished runs plus per-run alpha/weight CSVs.
 
@@ -562,13 +571,14 @@ def report(run_dir):
     lines.append(header)
     lines.append("-" * len(header))
     for path in complete:
-        for row in _read_csv(path / "aggregate.csv", _AGGREGATE_COLUMNS):
+        aggregate = path / "aggregate.csv"
+        for lineno, row in enumerate(_read_csv(aggregate, _AGGREGATE_COLUMNS), 2):
             comparison_rows.append({"run": path.name, **row})
             if row["mean"]:
+                low, high, mean, std = (_number(aggregate, lineno, row, c) for c in ("min", "max", "mean", "std_pop"))
                 lines.append(
                     f"{path.name:<18} {row['task']:<6} {row['split']:<5} "
-                    f"{float(row['min']):>8.2f} {float(row['max']):>8.2f} "
-                    f"{float(row['mean']):>8.2f} {float(row['std_pop']):>7.2f}"
+                    f"{low:>8.2f} {high:>8.2f} {mean:>8.2f} {std:>7.2f}"
                 )
             else:
                 lines.append(f"{path.name:<18} {row['task']:<6} {row['split']:<5} (all seeds failed)")

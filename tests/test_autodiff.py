@@ -175,7 +175,8 @@ def assert_close_to(actual, reference, rtol=1e-12):
 
 
 def block_rows(ho, row_elements):
-    return [s.stop - s.start for s in ad._row_blocks(ho, row_elements)]
+    """Rows per backward block of a float64 conv."""
+    return [s.stop - s.start for s in ad._row_blocks(ho, row_elements, ad._BLOCK_BYTES // 8)]
 
 
 class TestConv2dReference:
@@ -192,7 +193,7 @@ class TestConv2dReference:
         if blocks == "forced blocks":
             # uneven row blocks ending in a one-row block: 27 and 16 patch
             # rows per output position, 6 and 5 output columns, batch 2
-            monkeypatch.setattr(ad, "_BLOCK_ELEMENTS", 1200)
+            monkeypatch.setattr(ad, "_BLOCK_BYTES", 1200 * 8)  # 1200 float64 elements
             assert block_rows(16, 27 * 6 * 2) == [3, 3, 3, 3, 3, 1]
             assert block_rows(15, 16 * 5 * 2) == [7, 7, 1]
         x = LAYOUTS[layout](gen.standard_normal((2, 3, h, w)))
@@ -213,13 +214,14 @@ class TestConv2dReference:
         for leaf, reference in zip(leaves, (dx, dk1, db1, dk2, db2)):
             assert_close_to(grads[leaf], reference)
 
-    def test_peak_memory_stays_within_a_few_row_blocks(self, traced_peak):
-        # the whole (250, 8*8*512) float64 patch matrix would be 62.5 MiB
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_peak_memory_stays_within_a_few_row_blocks(self, traced_peak, dtype):
+        # the whole (250, 8*8*512) patch matrix would be 31.3 MiB in float32
+        # and 62.5 MiB in float64
         gen = np.random.default_rng(13)
-        x = Tensor(LAYOUTS["batch-innermost"](gen.standard_normal((512, 10, 12, 12))), tracked=True)
-        k, b = tracked(gen.standard_normal((20, 10, 5, 5))), tracked(gen.standard_normal(20))
-        block_bytes = ad._BLOCK_ELEMENTS * 8
-        assert 250 * 8 * 8 * 512 * 8 > 3 * block_bytes
+        x = Tensor(LAYOUTS["batch-innermost"](gen.standard_normal((512, 10, 12, 12)).astype(dtype)), tracked=True)
+        k, b = (Tensor(gen.standard_normal(shape).astype(dtype), tracked=True) for shape in ((20, 10, 5, 5), (20,)))
+        assert 250 * 8 * 8 * 512 * x.dtype.itemsize > 3 * ad._BLOCK_BYTES
 
         def forward_backward():
             with Tape():
@@ -230,7 +232,36 @@ class TestConv2dReference:
         (out, grads), peak = traced_peak(forward_backward)
         # the output, its gradient as tensor_sum hands it and as batch-innermost
         # rows, the input gradient, and one block's patches or patch gradient
-        assert peak < 3 * out.data.nbytes + grads[x].nbytes + 1.5 * block_bytes
+        assert peak < 3 * out.data.nbytes + grads[x].nbytes + 1.5 * ad._BLOCK_BYTES
+
+    def test_a_block_holds_the_same_bytes_in_float32_and_float64(self, monkeypatch):
+        # conv2's shapes at batch 256, 2 workers: a forward part is 2 output
+        # rows of every image in float32 and 1 in float64, a backward block
+        # 4 output rows and 2
+        monkeypatch.setattr(ad, "_WORKERS", 2)
+        held = {}  # the most elements a forward part or a backward block holds
+        forward_parts, row_blocks = ad._forward_parts, ad._row_blocks
+
+        def recorded_parts(ho, b, row_elements, *rest):
+            parts = forward_parts(ho, b, row_elements, *rest)
+            held["part"] = max((rs.stop - rs.start) * (im.stop - im.start) for rs, im in parts) * row_elements
+            return parts
+
+        def recorded_blocks(ho, row_elements, *rest):
+            blocks = row_blocks(ho, row_elements, *rest)
+            held["block"] = max(rs.stop - rs.start for rs in blocks) * row_elements
+            return blocks
+
+        monkeypatch.setattr(ad, "_forward_parts", recorded_parts)
+        monkeypatch.setattr(ad, "_row_blocks", recorded_blocks)
+        gen = np.random.default_rng(17)
+        arrays = [gen.standard_normal(shape) for shape in ((256, 10, 12, 12), (20, 10, 5, 5), (20,))]
+        nbytes = {}
+        for dtype in (np.float32, np.float64):
+            ad.conv2d(*(Tensor(a.astype(dtype)) for a in arrays))
+            nbytes[dtype] = {name: elements * np.dtype(dtype).itemsize for name, elements in held.items()}
+        assert nbytes[np.float32] == nbytes[np.float64]
+        assert nbytes[np.float64]["block"] <= ad._BLOCK_BYTES
 
 
 def maxpool_reference(x, g):
@@ -409,14 +440,15 @@ class TestPooledConv:
             per_part, row_sizes, span_sizes = self.CUTS[shape, cut]
             row_elements = (k[0].size + cout) * ho  # a patch and a conv buffer column per position
             monkeypatch.setattr(ad, "_WORKERS", 2)
-            monkeypatch.setattr(ad, "_BLOCK_ELEMENTS", 2 * per_part * row_elements)
-            parts = ad._forward_parts(ho, batch, row_elements, 2)
+            block = 2 * per_part * row_elements  # elements of dtype
+            monkeypatch.setattr(ad, "_BLOCK_BYTES", block * np.dtype(dtype).itemsize)
+            parts = ad._forward_parts(ho, batch, row_elements, 2, block)
             rows = dict.fromkeys((rs.start, rs.stop) for rs, _ in parts)
             spans = dict.fromkeys((images.start, images.stop) for _, images in parts)
             assert [stop - start for start, stop in rows] == row_sizes
             assert [stop - start for start, stop in spans] == span_sizes
         # the output, the conv output's gradient and the gradients of x, k and b;
-        # the kernel gradient's GEMMs follow _BLOCK_ELEMENTS: compare within one setting
+        # the kernel gradient's GEMMs follow _BLOCK_BYTES: compare within one setting
         pooled = outputs_and_vjps(pooled_conv2d, (x, k, b), g)
         assert pooled == outputs_and_vjps(maxpool2_of_conv2d, (x, k, b), g)
         assert pooled[0] == whole[0]  # the output does not depend on the cut
@@ -786,15 +818,35 @@ class TestWorkers:
         ]
         monkeypatch.setattr(ad, "_WORKERS", 1)
         one = {name: outputs_and_vjps(op, arrays, g) for name, op, arrays, g in cases}
-        # every elementwise kernel splits, whatever its size
+        # every elementwise kernel and conv backward splits, whatever its size
         monkeypatch.setattr(ad, "_WORKERS", 2)
         monkeypatch.setattr(ad, "_SPLIT_ELEMENTS", 0)
+        monkeypatch.setattr(ad, "_SPLIT_PATCH_BYTES", 0)
         two = {name: outputs_and_vjps(op, arrays, g) for name, op, arrays, g in cases}
         assert [name for name in one if one[name] != two[name]] == []
 
-    def test_conv_peak_memory_at_2_workers(self, monkeypatch, traced_peak):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_conv_peak_memory_at_2_workers(self, monkeypatch, traced_peak, dtype):
         monkeypatch.setattr(ad, "_WORKERS", 2)
-        TestConv2dReference().test_peak_memory_stays_within_a_few_row_blocks(traced_peak)
+        TestConv2dReference().test_peak_memory_stays_within_a_few_row_blocks(traced_peak, dtype)
+
+    @pytest.mark.parametrize("batch, split", [(8, False), (64, True)])
+    def test_conv_backward_splits_only_from_split_patch_bytes(self, monkeypatch, batch, split):
+        # conv2's float32 patches: 0.5 MB at batch 8, 4.1 MB at batch 64
+        monkeypatch.setattr(ad, "_WORKERS", 2)
+        monkeypatch.setattr(ad, "_SPLIT_ELEMENTS", 1 << 30)  # no elementwise split
+        gen = np.random.default_rng(batch)
+        x, k, b = (
+            Tensor(gen.standard_normal(shape).astype(np.float32), tracked=True)
+            for shape in ((batch, 10, 12, 12), (20, 10, 5, 5), (20,))
+        )
+        with Tape():
+            loss = ad.tensor_sum(ad.conv2d(x, k, b))
+        parts = []  # parts per split of the backward
+        real_split = ad._split
+        monkeypatch.setattr(ad, "_split", lambda fn, p: parts.append(len(p)) or real_split(fn, p))
+        backward(loss)
+        assert (max(parts) > 1) == split
 
     @staticmethod
     def on_both_threads(worker_part):

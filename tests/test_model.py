@@ -106,7 +106,7 @@ class TestForward:
         # 42.7 MiB while conv1's whole output (22.5 MiB) was made only to be
         # pooled; 21.8 MiB with pooling inside the conv: the float64 images,
         # conv1's pooled output and the parts in flight, at most
-        # _BLOCK_ELEMENTS elements of patches and conv buffers
+        # _BLOCK_BYTES of patches and conv buffers
         monkeypatch.setattr(ad, "_WORKERS", workers)
         model = build_model(["tl", "br"], seed=1, dtype=np.float64)
         images = np.random.default_rng(5).uniform(size=(512, 1, 28, 28)).astype(np.float32)
@@ -149,6 +149,18 @@ class TestLossGrad:
         labels = {"tl": gen.integers(0, 10, size=400)}
         _, peak = traced_peak(lambda: model.loss_grad(images, labels, {"tl": 1.0}))
         assert peak < 25 * 2**20
+
+    def test_peak_memory_of_a_batch_256_float64_pass(self, traced_peak):
+        # 28.3 MiB with a block budget of 2**21 elements (16 MiB in float64);
+        # 20.1 MiB with one of 8 MiB in either dtype: conv1's output gradient,
+        # made while conv1's kernel gradient rebuilds one block of patches
+        gen = np.random.default_rng(5)
+        model = build_model(["tl", "br"], seed=1, dtype=np.float64)
+        images = gen.uniform(size=(256, 1, 28, 28)).astype(np.float32)
+        labels = {"tl": gen.integers(0, 10, size=256)}
+        _, peak = traced_peak(lambda: model.loss_grad(images, labels, {"tl": 1.0}))
+        conv1_output_gradient = 256 * 10 * 24 * 24 * 8
+        assert peak < conv1_output_gradient + 1.5 * ad._BLOCK_BYTES
 
     def test_nothing_is_stored_on_the_parameters(self, batch):
         model = build_model(["tl", "br"], seed=4)
@@ -278,6 +290,7 @@ class TestWorkerThreads:
         # benchmark's does, nests correctly only if they do
         monkeypatch.setattr(ad, "_WORKERS", 2)
         monkeypatch.setattr(ad, "_SPLIT_ELEMENTS", 0)  # every elementwise kernel splits
+        monkeypatch.setattr(ad, "_SPLIT_PATCH_BYTES", 0)  # and every conv backward
         calls = []  # (name, thread) of every call
 
         def recorded(name, fn):

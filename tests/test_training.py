@@ -60,6 +60,7 @@ def test_every_output_byte_is_the_same_at_1_and_2_workers(tmp_path, monkeypatch,
     one = run_files(replace(config, out_dir=str(tmp_path / "one")))
     monkeypatch.setattr(autodiff, "_WORKERS", 2)
     monkeypatch.setattr(autodiff, "_SPLIT_ELEMENTS", 0)  # every elementwise kernel splits
+    monkeypatch.setattr(autodiff, "_SPLIT_PATCH_BYTES", 0)  # and every conv backward
     assert run_files(replace(config, out_dir=str(tmp_path / "two"))) == one
 
 
@@ -544,6 +545,10 @@ def test_report_without_runs_is_a_cli_error(tmp_path, capsys, make):
         ("task,split\ntl,test\n", "missing column(s) n_seeds, n_failed, min, max, mean, std_pop"),
         ("", "empty file, expected a header row"),
         ("task,split,n_seeds,n_failed,min,max,mean,std_pop\ntl,test,1\n", "line 2 has 3 cells, the header 8"),
+        (
+            "task,split,n_seeds,n_failed,min,max,mean,std_pop\ntl,test,1,0,50.0,50.0,50.0,0.0\ntl,dev,1,0,abc,1,1,0\n",
+            "line 3, column min: 'abc' is not a number",
+        ),
     ],
 )
 def test_a_malformed_aggregate_is_a_cli_error(tmp_path, capsys, text, expected):
