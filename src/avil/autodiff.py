@@ -96,9 +96,13 @@ byte-identical at any worker count:
   (forward and VJP): channels, elementwise or one sum per channel.
 - ``linear``, ``cross_entropy_mean`` and the helpers run whole.
 
-An elementwise kernel splits only from ``_SPLIT_ELEMENTS`` elements, and
-``conv2d``'s kernel and input gradients only from ``_SPLIT_PATCH_BYTES`` of
-patches, below which handing a part to a thread costs more than it saves.
+A split is gated on the bytes of its work: an elementwise kernel's
+operand, the output gradient a bias gradient sums, the patches of
+``conv2d``'s kernel and input gradients. ``_workers_for`` splits it only
+from ``_SPLIT_BYTES``, below which handing a part to a thread costs more
+than it saves. ``conv2d``'s forward has no gate: its parts hold about
+``_BLOCK_BYTES / _WORKERS`` bytes of patches and conv buffer each, so at
+two workers it cuts only a conv of more than 4 MiB of them.
 Each part runs under the caller's floating-point error state, and an
 exception in any part is raised to the caller. The kernels pay off with
 BLAS on one thread, which ``harness`` sets for a run (see there).
@@ -320,29 +324,26 @@ def _spans(n, parts):
     return [slice(n * i // parts, n * (i + 1) // parts) for i in range(parts)]
 
 
-# Elements below which an elementwise kernel runs whole. Splitting saved
-# nothing below it on 2 shared cores (a float32 maxpool2 of 512k input
-# elements took 0.41 ms whole and 0.40 ms split), and each split costs a
-# hand-off to a pool thread and back (0.05 ms).
-_SPLIT_ELEMENTS = 1 << 19
+# Bytes of work below which a kernel runs whole, in either dtype: each split
+# costs a hand-off to a pool thread and back (0.05 ms). Break-evens on 2
+# shared cores, BLAS on one thread: conv2's kernel and input gradients at 2
+# workers near 1.9 MB of patches in float32 and 2.2 MB in float64 (batch 30
+# and 17; at batch 8 the split took 6-39% longer), and a float32 maxpool2 of
+# 2 MiB took 0.41 ms whole and 0.40 ms split. Above it in float64, relu
+# forward and VJP on 2.0 MiB took 1.68 ms whole and 1.10 ms split, and
+# maxpool2 forward and VJP on 2.5 MiB 2.31 and 1.66 ms.
+_SPLIT_BYTES = 2 << 20
 
 
-def _workers_for(elements):
-    return _WORKERS if elements >= _SPLIT_ELEMENTS else 1
-
-
-# Patch bytes below which conv2d's backward GEMMs run whole, not split by
-# input channel. On 2 shared cores conv2's kernel and input gradients broke
-# even at 2 workers near batch 30 in float32 and 17 in float64, 1.9 and 2.2
-# MB of patches; at batch 8 the split took 6-39% longer.
-_SPLIT_PATCH_BYTES = 2 << 20
+def _workers_for(nbytes):
+    return _WORKERS if nbytes >= _SPLIT_BYTES else 1
 
 
 def _channel_parts(a):
     """Index tuples cutting a 4-d (b, c, h, w) array into a channel range per worker, else the whole array."""
     if a.ndim != 4:
         return [...]
-    return [(slice(None), cs) for cs in _spans(a.shape[1], _workers_for(a.size))]
+    return [(slice(None), cs) for cs in _spans(a.shape[1], _workers_for(a.nbytes))]
 
 
 def _empty_in_layout(shape, strides, dtype):
@@ -506,10 +507,9 @@ def conv2d(x, kernels, bias, pool=False):
     row_elements = (kmat.shape[1] + (cout if pool else 0)) * wo
     _split(forward, _forward_parts(ho, b, row_elements, 2 if pool else 1, block))
 
-    # the backward GEMMs: one per block, each split by input channel unless small
+    # the backward GEMMs: one per block, each split by input channel from _SPLIT_BYTES of patches
     blocks = _row_blocks(ho, kmat.shape[1] * wo * b, block)
-    small = kmat.shape[1] * ho * wo * b * out_dtype.itemsize < _SPLIT_PATCH_BYTES
-    channels = _spans(cin, 1 if small else _WORKERS)
+    channels = _spans(cin, _workers_for(kmat.shape[1] * ho * wo * b * out_dtype.itemsize))
 
     def batch_innermost(g):
         return np.ascontiguousarray(g.transpose(1, 2, 3, 0))  # free when g is batch-innermost
@@ -531,7 +531,7 @@ def conv2d(x, kernels, bias, pool=False):
 
     def d_bias(g):
         sums = batch_innermost(g).reshape(cout, -1)
-        return np.concatenate(_split(lambda cs: sums[cs].sum(axis=1), _spans(cout, _workers_for(sums.size))))
+        return np.concatenate(_split(lambda cs: sums[cs].sum(axis=1), _spans(cout, _workers_for(sums.nbytes))))
 
     def d_x(g):
         # transposed convolution: scatter each output's patch gradient back

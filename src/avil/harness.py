@@ -73,6 +73,7 @@ from .weighting import NanLossError
 DESK_TRAIN_SUBSET = 10_000
 DEV_SIZE = 10_000
 METHODS = ("singletask", "multitask", "diw", "avil")
+DATA_SOURCES = ("auto", "cache", "idx", "synthetic")
 TARGETS = (datamod.TASK_TOP_LEFT, datamod.TASK_BOTTOM_RIGHT)
 
 
@@ -154,6 +155,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
         if self.dtype not in ("float32", "float64"):
             raise ConfigError(f"dtype must be 'float32' or 'float64', got {self.dtype!r}")
+        if self.data_source not in DATA_SOURCES:
+            raise ConfigError(f"data_source must be one of {DATA_SOURCES}, got {self.data_source!r}")
 
     @property
     def effective_epochs(self):
@@ -280,20 +283,13 @@ def load_pools(config):
             raise ConfigError(f"{directory}: train pool has {len(train_images)} images, expected 60000")
         if len(test_images) != 10_000:
             raise ConfigError(f"{directory}: test set has {len(test_images)} images, expected 10000")
-        return (
-            datamod.make_multimnist(train_images, train_labels, config.pair_seed, split="train"),
-            datamod.make_multimnist(test_images, test_labels, config.pair_seed, split="test"),
-        )
-    if source == "synthetic":
+    else:  # synthetic
         train_images, train_labels = datamod.synthetic_mnist(config.synthetic_n, config.pair_seed)
-        test_images, test_labels = datamod.synthetic_mnist(
-            config.synthetic_test_n, config.pair_seed + 1
-        )
-        return (
-            datamod.make_multimnist(train_images, train_labels, config.pair_seed, split="train"),
-            datamod.make_multimnist(test_images, test_labels, config.pair_seed, split="test"),
-        )
-    raise ConfigError(f"unknown data source {source!r}")
+        test_images, test_labels = datamod.synthetic_mnist(config.synthetic_test_n, config.pair_seed + 1)
+    return (
+        datamod.make_multimnist(train_images, train_labels, config.pair_seed, split="train"),
+        datamod.make_multimnist(test_images, test_labels, config.pair_seed, split="test"),
+    )
 
 
 def _check_no_other_caches(directory, pair_seed):

@@ -818,10 +818,9 @@ class TestWorkers:
         ]
         monkeypatch.setattr(ad, "_WORKERS", 1)
         one = {name: outputs_and_vjps(op, arrays, g) for name, op, arrays, g in cases}
-        # every elementwise kernel and conv backward splits, whatever its size
+        # every gated kernel splits, whatever its size
         monkeypatch.setattr(ad, "_WORKERS", 2)
-        monkeypatch.setattr(ad, "_SPLIT_ELEMENTS", 0)
-        monkeypatch.setattr(ad, "_SPLIT_PATCH_BYTES", 0)
+        monkeypatch.setattr(ad, "_SPLIT_BYTES", 0)
         two = {name: outputs_and_vjps(op, arrays, g) for name, op, arrays, g in cases}
         assert [name for name in one if one[name] != two[name]] == []
 
@@ -830,23 +829,60 @@ class TestWorkers:
         monkeypatch.setattr(ad, "_WORKERS", 2)
         TestConv2dReference().test_peak_memory_stays_within_a_few_row_blocks(traced_peak, dtype)
 
-    @pytest.mark.parametrize("batch, split", [(8, False), (64, True)])
-    def test_conv_backward_splits_only_from_split_patch_bytes(self, monkeypatch, batch, split):
-        # conv2's float32 patches: 0.5 MB at batch 8, 4.1 MB at batch 64
+    CONV2 = ((20, 10, 5, 5), (20,))  # conv2's kernels and bias
+
+    # kernel: (op, an image's input shape, the other operands' shapes,
+    # elements of gated work per image, the splits the gate decides). conv2's
+    # output and output gradient hold 20 * 8 * 8 elements an image, its patches 250 * 8 * 8.
+    GATED = {
+        "relu": (
+            ad.relu, (10, 12, 12), (), 10 * 12 * 12,
+            {"relu.<locals>.forward", "relu.<locals>.d_x.<locals>.<lambda>"},
+        ),
+        "maxpool2": (
+            ad.maxpool2, (20, 8, 8), (), 20 * 8 * 8,
+            {"maxpool2.<locals>.<lambda>", "_unpool.<locals>.scatter"},
+        ),
+        "pooled conv scatter": (
+            pooled_conv2d, (10, 12, 12), CONV2, 20 * 8 * 8,
+            {"_unpool.<locals>.scatter"},
+        ),
+        "conv bias gradient": (
+            ad.conv2d, (10, 12, 12), CONV2, 20 * 8 * 8,
+            {"conv2d.<locals>.d_bias.<locals>.<lambda>"},
+        ),
+        "conv backward": (
+            ad.conv2d, (10, 12, 12), CONV2, 250 * 8 * 8,
+            {"conv2d.<locals>.d_kernels.<locals>.channel_gradient", "conv2d.<locals>.d_x.<locals>.scatter"},
+        ),
+    }
+
+    @pytest.mark.parametrize("above", [False, True], ids=["below", "above"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kernel", list(GATED))
+    def test_a_kernel_splits_only_from_2_mib_of_work(self, monkeypatch, kernel, dtype, above):
+        # the largest batch below 2 MiB of gated work, or the smallest at it:
+        # relu runs on (182|183, 10, 12, 12) in float64, (364|365, 10, 12, 12) in float32
+        op, image, others, elements, gated = self.GATED[kernel]
+        per_image = elements * np.dtype(dtype).itemsize
+        batch = ((2 << 20) - 1) // per_image + above
         monkeypatch.setattr(ad, "_WORKERS", 2)
-        monkeypatch.setattr(ad, "_SPLIT_ELEMENTS", 1 << 30)  # no elementwise split
         gen = np.random.default_rng(batch)
-        x, k, b = (
-            Tensor(gen.standard_normal(shape).astype(np.float32), tracked=True)
-            for shape in ((batch, 10, 12, 12), (20, 10, 5, 5), (20,))
-        )
-        with Tape():
-            loss = ad.tensor_sum(ad.conv2d(x, k, b))
-        parts = []  # parts per split of the backward
+        operands = [
+            Tensor(gen.standard_normal(shape).astype(dtype), tracked=True) for shape in [(batch, *image), *others]
+        ]
+        parts = {}  # parts of each split, by the function it splits
         real_split = ad._split
-        monkeypatch.setattr(ad, "_split", lambda fn, p: parts.append(len(p)) or real_split(fn, p))
+
+        def counted(fn, p):
+            parts.setdefault(fn.__qualname__, []).append(len(p))
+            return real_split(fn, p)
+
+        monkeypatch.setattr(ad, "_split", counted)
+        with Tape():
+            loss = ad.tensor_sum(op(*operands))
         backward(loss)
-        assert (max(parts) > 1) == split
+        assert {site: max(parts[site]) for site in gated} == {site: 2 if above else 1 for site in gated}
 
     @staticmethod
     def on_both_threads(worker_part):

@@ -289,8 +289,7 @@ class TestWorkerThreads:
         # a tracer that keeps one span stack for the process, as the
         # benchmark's does, nests correctly only if they do
         monkeypatch.setattr(ad, "_WORKERS", 2)
-        monkeypatch.setattr(ad, "_SPLIT_ELEMENTS", 0)  # every elementwise kernel splits
-        monkeypatch.setattr(ad, "_SPLIT_PATCH_BYTES", 0)  # and every conv backward
+        monkeypatch.setattr(ad, "_SPLIT_BYTES", 0)  # every gated kernel splits
         calls = []  # (name, thread) of every call
 
         def recorded(name, fn):

@@ -59,8 +59,7 @@ def test_every_output_byte_is_the_same_at_1_and_2_workers(tmp_path, monkeypatch,
     monkeypatch.setattr(autodiff, "_WORKERS", 1)
     one = run_files(replace(config, out_dir=str(tmp_path / "one")))
     monkeypatch.setattr(autodiff, "_WORKERS", 2)
-    monkeypatch.setattr(autodiff, "_SPLIT_ELEMENTS", 0)  # every elementwise kernel splits
-    monkeypatch.setattr(autodiff, "_SPLIT_PATCH_BYTES", 0)  # and every conv backward
+    monkeypatch.setattr(autodiff, "_SPLIT_BYTES", 0)  # every gated kernel splits
     assert run_files(replace(config, out_dir=str(tmp_path / "two"))) == one
 
 
@@ -424,11 +423,13 @@ def test_unknown_target_is_rejected_before_data_is_built(tmp_path, capsys, monke
         ("data.dev_size=0", "dev_size must be >= 1, got 0"),
         ("data.synthetic_n=0", "synthetic_n must be >= 1, got 0"),
         ("data.synthetic_test_n=0", "synthetic_test_n must be >= 1, got 0"),
+        ("data.source=bogus", "data_source must be one of ('auto', 'cache', 'idx', 'synthetic'), got 'bogus'"),
     ],
 )
 def test_bad_values_are_rejected_before_data_is_built(tmp_path, capsys, monkeypatch, extra, expected):
     monkeypatch.setattr(harness, "load_pools", lambda config: pytest.fail("data built before the check"))
     assert expected in config_error(tmp_path, capsys, extra)
+    assert not (tmp_path / "runs").exists()  # nor any run file written
 
 
 @pytest.mark.parametrize(
