@@ -136,8 +136,8 @@ class Tensor:
     # grad stays a slot because avilbench/layers.py assigns ``t.grad = None``
     __slots__ = ("data", "grad", "tracked", "tape", "node")
 
-    def __init__(self, data, tracked=False, dtype=None):
-        self.data = np.asarray(data, dtype=dtype)
+    def __init__(self, data, tracked=False):
+        self.data = np.asarray(data)
         self.grad = None
         self.tracked = bool(tracked)
         self.tape = None

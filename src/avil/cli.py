@@ -12,8 +12,8 @@ from .errors import ConfigError
 
 
 def _cmd_generate(args):
-    if args.mnist_dir is None and args.synthetic is None:
-        raise ConfigError("generate: provide --mnist-dir or --synthetic N")
+    if (args.mnist_dir is None) == (args.synthetic is None):
+        raise ConfigError("generate: give exactly one of --mnist-dir and --synthetic N")
     if args.mnist_dir is not None:
         source = {"data_source": "idx", "data_dir": args.mnist_dir}
     else:
@@ -56,10 +56,10 @@ def build_parser():
     gen = sub.add_parser("generate", help="build and cache the overlaid-digit datasets")
     gen.add_argument("--mnist-dir", default=None, help="directory with the standard IDX files")
     gen.add_argument("--out", required=True, help="output directory for cache files")
-    gen.add_argument("--pair-seed", type=int, default=1234)
+    gen.add_argument("--pair-seed", type=int, default=harness.ExperimentConfig.pair_seed)
     gen.add_argument("--synthetic", type=int, default=None, metavar="N",
                      help="use N seeded synthetic digits instead of IDX files")
-    gen.add_argument("--synthetic-test", type=int, default=10_000)
+    gen.add_argument("--synthetic-test", type=int, default=harness.ExperimentConfig.synthetic_test_n)
     gen.set_defaults(func=_cmd_generate)
 
     train = sub.add_parser("train", help="run one experiment over its seeds")

@@ -2,8 +2,9 @@
 
 Every read of the IDX, cache and checkpoint readers is size-checked by
 one test, through ``read_exact``, which returns bytes, or ``read_array``,
-which reads straight into a new array. ``replace_atomically`` is the one
-whole-file write: it never leaves a partial file under the final name.
+which reads straight into a new array; ``read_text`` reads every text
+file a user hands in. ``replace_atomically`` is the one whole-file write:
+it never leaves a partial file under the final name.
 """
 
 from __future__ import annotations
@@ -41,6 +42,14 @@ def read_array(fh, shape, dtype, path):
     array = np.empty(shape, dtype=dtype)
     fh.readinto(array.reshape(-1).view(np.uint8))
     return array
+
+
+def read_text(path):
+    """The UTF-8 text of ``path``; a file that is not UTF-8 is a ConfigError naming the first bad byte."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
 
 
 def _check_left(fh, count, path):

@@ -65,7 +65,7 @@ import numpy as np
 from . import data as datamod
 from . import weighting
 from .errors import ConfigError
-from .files import replace_atomically
+from .files import read_text, replace_atomically
 from .model import build_model, save_checkpoint
 from .weighting import NanLossError
 
@@ -187,8 +187,8 @@ class ExperimentConfig:
 _SETTINGS = {f.metadata["key"]: f for f in fields(ExperimentConfig)}
 
 
-def parse_config_text(text, base=None):
-    """Apply key=value lines to a config; unknown keys and keys given twice are errors."""
+def parse_config_text(text):
+    """The default config with key=value lines applied; unknown keys and keys given twice are errors."""
     values, seen = {}, {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -209,19 +209,11 @@ def parse_config_text(text, base=None):
             values[setting.name] = setting.metadata["parse"](raw)
         except ValueError:
             raise ConfigError(f"line {lineno}: bad value {raw!r} for {key!r}") from None
-    base = base or ExperimentConfig()
-    return replace(base, **values)
+    return ExperimentConfig(**values)
 
 
 def load_config(path, overrides=None):
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
-    cfg = parse_config_text(text)
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    return cfg
+    return replace(parse_config_text(read_text(path)), **(overrides or {}))
 
 
 def config_echo(config):
@@ -520,9 +512,9 @@ def run_experiment(config, pools=None):
 
 
 def _read_csv(path, columns):
-    """Rows as dicts; a file without a header, without one of ``columns``
-    or with a row of the wrong length is a ConfigError naming the file."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    """Rows as dicts; a file that is not UTF-8, has no header, lacks one of
+    ``columns`` or has a row of the wrong length is a ConfigError naming it."""
+    lines = read_text(path).splitlines()
     if not lines:
         raise ConfigError(f"{path}: empty file, expected a header row")
     header = lines[0].split(",")

@@ -29,10 +29,9 @@ validates the values.
 
 Every dev score is one ``evaluate`` call. ``_run`` encodes the dev set
 once per set of parameters it scores and passes the features to every
-head's call; DIW's step hands back the features of its last joint attempt
-when that attempt is the candidate it keeps, so the epoch end encodes
-nothing more. The number of ``evaluate`` calls per DIW epoch is
-2 * tasks + attempts.
+head's call; DIW's step hands back the features of the attempt it keeps,
+so the epoch end encodes nothing more. The number of ``evaluate`` calls
+per DIW epoch is 2 * tasks + attempts.
 
 The alpha gradient is computed analytically as g_i = <delta_i, grad of the
 dev loss at the mixed parameters>, so one dev-set gradient pass per tuning
@@ -234,9 +233,12 @@ def _run(model, dev_set, target, cfg, step):
     ``eval_features`` at the next base, which then is not encoded again.
     After each step every task is evaluated at the new base. Best snapshots
     track ``target``, or every task when ``target`` is None; only a run
-    with a target records its dev loss.
+    with a target records its dev loss. A ``target`` that is not one of
+    the model's tasks is a ConfigError.
     """
     tasks = model.task_ids
+    if target is not None and target not in tasks:
+        raise ConfigError(f"target {target!r} not in tasks {tasks}")
     tracked = tasks if target is None else [target]
 
     def score(scored, features=None):
@@ -263,14 +265,14 @@ def _run(model, dev_set, target, cfg, step):
 
 
 def singletask_train(train_set, dev_set, cfg, seed):
-    """Plain mini-batch SGD on the target task; model has only that task's head."""
+    """Plain mini-batch SGD on the target task, one ``collect_delta`` pass per epoch; one head."""
     task = cfg.target
     model = build_model([task], seed, dtype=cfg.np_dtype)
 
     def step(epoch, base, best):
         order = sample_fraction(train_set, cfg.rho, seed, epoch, key=task)
-        disp, raw = _epoch_pass(model, base, chunk_indices(order, cfg.batch_size), train_set, {task: 1.0}, cfg)
-        return base + disp, raw, {}
+        disp, loss = collect_delta(model, base, task, 1.0, order, train_set, cfg)
+        return base + disp, {task: loss}, {}
 
     return _run(model, dev_set, task, cfg, step)
 
@@ -297,8 +299,6 @@ def multitask_train(train_set, dev_set, cfg, seed):
 def avil_train(train_set, dev_set, cfg, seed):
     """Delta-collection + alpha-tuning training loop optimizing the target task."""
     tasks, target = sorted(train_set.labels), cfg.target
-    if target not in tasks:
-        raise ConfigError(f"target {target!r} not in tasks {tasks}")
     model = build_model(tasks, seed, dtype=cfg.np_dtype)
     weights = np.ones(len(tasks), dtype=np.float64)
 
@@ -333,12 +333,11 @@ def diw_train(train_set, dev_set, cfg, seed):
     the shared base, scored by target dev accuracy (a_i). The inner loop
     then trains a jointly weighted epoch; if it improves on the best target
     accuracy so far it is accepted, otherwise every weight is nudged by
-    eta * (a_i - a_joint), the model resets, and the loop retries, giving
-    up after ``diw_patience`` attempts and accepting the best candidate.
+    eta * (a_i - a_joint) and the loop retries from the shared base, giving
+    up after ``diw_patience`` attempts. The step keeps the most accurate
+    attempt (on a tie, the earlier one) and hands back its dev features.
     """
     tasks, target = sorted(train_set.labels), cfg.target
-    if target not in tasks:
-        raise ConfigError(f"target {target!r} not in tasks {tasks}")
     model = build_model(tasks, seed, dtype=cfg.np_dtype)
     weights = np.ones(len(tasks), dtype=np.float64)
 
@@ -349,24 +348,19 @@ def diw_train(train_set, dev_set, cfg, seed):
         for i, task in enumerate(tasks):
             _epoch_pass(model, base, batch_list, train_set, {task: 1.0}, cfg)
             single_acc[i], _ = evaluate(model, dev_set, target, cfg.eval_batch_size)
-            model.restore(base)
-        candidates = []
+        kept = None  # (accuracy, next base, train losses, dev features)
         for attempt in range(1, cfg.diw_patience + 1):
             w_norm = weights / weights.sum()
             disp, raw = _epoch_pass(model, base, batch_list, train_set, dict(zip(tasks, w_norm)), cfg)
             feats = model.eval_features(dev_set, cfg.eval_batch_size)
             a_joint, _ = evaluate(model, dev_set, target, cfg.eval_batch_size, features=feats)
-            candidates.append((a_joint, attempt, base + disp, raw))
+            if kept is None or a_joint > kept[0]:
+                kept = (a_joint, base + disp, raw, feats)
             if a_joint > best[target].dev_accuracy:
                 break
             weights = optim.clamp_weights(weights + cfg.diw_eta * (single_acc - a_joint), cfg.clamp_floor)
-            model.restore(base)
-        # an accepted attempt is the only one above the best accuracy, so
-        # it is also the most accurate candidate
-        _, kept, next_base, raw = max(candidates, key=lambda c: (c[0], -c[1]))
-        extra = dict(weights={t: float(w) for t, w in zip(tasks, weights)}, diw_attempts=len(candidates))
-        if kept == len(candidates):  # the last attempt was encoded at next_base
-            extra["dev_features"] = feats
+        _, next_base, raw, feats = kept
+        extra = dict(weights={t: float(w) for t, w in zip(tasks, weights)}, diw_attempts=attempt, dev_features=feats)
         return next_base, raw, extra
 
     return _run(model, dev_set, target, cfg, step)

@@ -115,7 +115,7 @@ def test_a_diw_patience_1_epoch_encodes_the_dev_set_three_times(encoder_passes):
     assert encoder_passes == [len(dev)] * (1 + 3 * len(result.rows))
 
 
-def test_a_diw_epoch_that_keeps_an_earlier_attempt_encodes_the_dev_set_once_more(monkeypatch, encoder_passes):
+def test_a_diw_epoch_that_keeps_an_earlier_attempt_makes_no_extra_dev_pass(monkeypatch, encoder_passes):
     train, dev = tiny_datasets(TINY)  # diw.patience 3
     accuracies = []
     evaluate = weighting.evaluate
@@ -128,10 +128,10 @@ def test_a_diw_epoch_that_keeps_an_earlier_attempt_encodes_the_dev_set_once_more
     monkeypatch.setattr(weighting, "evaluate", recorded)
     result = weighting.diw_train(train, dev, TINY, 2)
     # epoch 1 accepts its only attempt; epoch 2's three attempts tie, and
-    # a tie keeps the first, which is not the last one encoded
+    # a tie keeps the first, whose features the epoch end reuses
     assert [row.diw_attempts for row in result.rows] == [1, 3]
     assert len(set(accuracies[8:11])) == 1  # 1 before training, 2 + 1 + 2 in epoch 1, 2 singles
-    assert encoder_passes == [len(dev)] * (1 + (2 + 1) + (2 + 3 + 1))
+    assert encoder_passes == [len(dev)] * (1 + (2 + 1) + (2 + 3))
 
 
 @pytest.mark.parametrize("best_epochs, passes", [((1, 1), 1), ((1, 2), 2)], ids=["one epoch", "two epochs"])
@@ -382,6 +382,7 @@ def test_unparsable_value_names_line_and_key(tmp_path, capsys, key, raw):
         (["train", "--seeds", "1,x"], "'1,x'"),
         (["generate", "--synthetic", "-5"], "-5"),
         (["generate"], "--mnist-dir"),
+        (["generate", "--mnist-dir", "idx", "--synthetic", "30"], "--mnist-dir and --synthetic"),
     ],
 )
 def test_bad_flags_are_one_line_errors(tmp_path, capsys, argv, expected):
@@ -391,6 +392,12 @@ def test_bad_flags_are_one_line_errors(tmp_path, capsys, argv, expected):
         argv = argv + ["--out", str(tmp_path / "cache")]
     assert expected in cli_error(capsys, argv)
     assert not (tmp_path / "cache").exists() and not (tmp_path / "runs").exists()
+
+
+def test_generate_takes_its_defaults_from_the_config():
+    args = cli.build_parser().parse_args(["generate", "--out", "cache"])
+    defaults = harness.ExperimentConfig()
+    assert (args.pair_seed, args.synthetic_test) == (defaults.pair_seed, defaults.synthetic_test_n)
 
 
 def test_unknown_target_is_rejected_before_data_is_built(tmp_path, capsys, monkeypatch):
@@ -556,6 +563,22 @@ def test_a_malformed_aggregate_is_a_cli_error(tmp_path, capsys, text, expected):
     run = write_report_inputs(tmp_path)
     (run / "aggregate.csv").write_text(text, encoding="utf-8")
     assert cli_error(capsys, ["report", "--run-dir", str(tmp_path)]) == f"error: {run / 'aggregate.csv'}: {expected}"
+
+
+@pytest.mark.parametrize(
+    "name, content, byte",
+    [
+        ("aggregate.csv", b"task,split,n_seeds,n_failed,min,max,mean,std_pop\ntl,test,1,0,50.0,50.0,50.0,0.0\xff\n",
+         79),
+        ("seed1.csv", b"epoch,alpha_tl,weight_tl\n1,0.5,1.0\xfe\n", 34),
+    ],
+    ids=["aggregate", "seed"],
+)
+def test_a_run_file_that_is_not_utf8_is_a_cli_error(tmp_path, capsys, name, content, byte):
+    run = write_report_inputs(tmp_path)
+    (run / name).write_bytes(content)
+    line = cli_error(capsys, ["report", "--run-dir", str(tmp_path)])
+    assert line == f"error: {run / name}: not UTF-8 text (byte {byte}: invalid start byte)"
 
 
 def test_a_cache_label_outside_0_to_9_is_a_cli_error(tmp_path, capsys):

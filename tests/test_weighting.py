@@ -13,9 +13,12 @@ from avil.weighting import (
     ConfigError,
     NanLossError,
     alpha_gradient,
+    avil_train,
     collect_delta,
     dev_loss_grad,
+    diw_train,
     evaluate,
+    multitask_train,
     tune_alphas,
 )
 from conftest import toy_set
@@ -293,3 +296,17 @@ class TestEvaluate:
 
         acc, _ = evaluate(Constant(), ds, "tl", batch_size=4)
         assert acc == float((ds.labels["tl"] == 0).mean())
+
+
+class TestTrainerInputChecks:
+    @pytest.mark.parametrize("train", [avil_train, diw_train])
+    def test_a_target_outside_the_tasks_is_rejected(self, train):
+        ds = toy_set(16, seed=1, tasks=("br",))
+        with pytest.raises(ConfigError) as err:
+            train(ds, ds, replace(CFG64, target="tl"), 1)
+        assert str(err.value) == "target 'tl' not in tasks ['br']"
+
+    def test_multitask_needs_two_tasks(self):
+        ds = toy_set(16, seed=1, tasks=("tl",))
+        with pytest.raises(ConfigError, match="multitask training requires at least two tasks"):
+            multitask_train(ds, ds, CFG64, 1)
