@@ -67,8 +67,9 @@ GEMM, and with the block size; the output, the bias gradient and the input
 gradient do not.
 
 The encoder kernels split their work over ``_WORKERS`` threads, the cores
-this process may run on: the calling thread and a pool, each thread taking
-the next part as it finishes one. A worker runs only
+this process may run on: the calling thread and the threads of a
+``concurrent.futures.ThreadPoolExecutor`` made once per worker count, each
+thread taking the next part as it finishes one. A worker runs only
 numpy on its own slices of arrays the caller made; every op, record and
 tape stays on the calling thread, so nothing a worker does is recorded and
 no worker enters an op. Each split computes every output element with the
@@ -112,8 +113,7 @@ from __future__ import annotations
 
 import functools
 import os
-import queue
-import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -260,61 +260,43 @@ def _cpu_count():
 
 
 # Threads that share each encoder kernel: the calling thread and _WORKERS - 1
-# pool threads.
+# executor threads.
 _WORKERS = _cpu_count()
 
 
-def _serve(inbox):
-    """A pool thread: run each (drain, error state, done queue) it is handed; post None or the exception."""
-    while True:
-        drain, errors, done = inbox.get()
-        failure = None
-        try:
-            with np.errstate(**errors):
-                drain()
-        except BaseException as exc:  # handed to the caller, which raises it
-            failure = exc
-        del drain  # before the caller goes on: the arrays its closure holds are the caller's to free
-        done.put(failure)
-
-
-@functools.cache  # one pool per worker count, started by the first split
-def _pool(workers):
-    """The inboxes of workers - 1 daemon threads, idle until handed work."""
-    inboxes = [queue.SimpleQueue() for _ in range(workers - 1)]
-    for inbox in inboxes:
-        threading.Thread(target=_serve, args=(inbox,), name="avil-kernel", daemon=True).start()
-    return inboxes
+@functools.cache  # one executor per worker count, its threads started by the first splits
+def _executor(workers):
+    return ThreadPoolExecutor(workers - 1, thread_name_prefix="avil-kernel")
 
 
 def _split(fn, parts):
-    """[fn(part) for part in parts], shared by the calling thread and up to _WORKERS - 1 pool threads.
+    """[fn(part) for part in parts], shared by the calling thread and up to _WORKERS - 1 executor threads.
 
     Each thread takes the next part as it finishes one, so a core that runs
-    slower does fewer parts. Returns once every part is done. A pool thread
-    runs under the caller's floating-point error state (numpy keeps it per
-    thread), and an exception raised in any part is raised here.
+    slower does fewer parts. Returns once every part is done, also when a
+    part raised, so no thread still writes into the caller's arrays. Every
+    part runs under the caller's floating-point error state (numpy keeps it
+    per thread), and an exception raised in any part is raised here.
     """
     helpers = min(_WORKERS, len(parts)) - 1
     if helpers < 1:
         return [fn(part) for part in parts]
     results = [None] * len(parts)
     todo = enumerate(parts)  # shared: each next() on it is atomic under the GIL
+    errors = np.geterr()
 
     def drain():
-        for i, part in todo:
-            results[i] = fn(part)
+        with np.errstate(**errors):
+            for i, part in todo:
+                results[i] = fn(part)
 
-    done = queue.SimpleQueue()
-    for inbox in _pool(_WORKERS)[:helpers]:
-        inbox.put((drain, np.geterr(), done))
+    futures = [_executor(_WORKERS).submit(drain) for _ in range(helpers)]
     try:
         drain()
     finally:
-        failures = [done.get() for _ in range(helpers)]
-    for exc in failures:
-        if exc is not None:
-            raise exc
+        wait(futures)
+    for future in futures:
+        future.result()  # raises a helper's exception
     return results
 
 
@@ -325,13 +307,14 @@ def _spans(n, parts):
 
 
 # Bytes of work below which a kernel runs whole, in either dtype: each split
-# costs a hand-off to a pool thread and back (0.05 ms). Break-evens on 2
-# shared cores, BLAS on one thread: conv2's kernel and input gradients at 2
-# workers near 1.9 MB of patches in float32 and 2.2 MB in float64 (batch 30
-# and 17; at batch 8 the split took 6-39% longer), and a float32 maxpool2 of
-# 2 MiB took 0.41 ms whole and 0.40 ms split. Above it in float64, relu
-# forward and VJP on 2.0 MiB took 1.68 ms whole and 1.10 ms split, and
-# maxpool2 forward and VJP on 2.5 MiB 2.31 and 1.66 ms.
+# costs a hand-off to an executor thread and back (about 0.02 ms for two
+# trivial parts, numpy 2.4, Python 3.11). Break-evens on 2 shared cores, BLAS
+# on one thread: conv2's kernel and input gradients at 2 workers near 1.9 MB
+# of patches in float32 and 2.2 MB in float64 (batch 30 and 17; at batch 8 the
+# split took 6-39% longer), and a float32 maxpool2 of 2 MiB took 0.41 ms whole
+# and 0.40 ms split. Above it in float64, relu forward and VJP on 2.0 MiB took
+# 1.68 ms whole and 1.10 ms split, and maxpool2 forward and VJP on 2.5 MiB
+# 2.31 and 1.66 ms.
 _SPLIT_BYTES = 2 << 20
 
 

@@ -30,13 +30,13 @@ def _cmd_generate(args):
 
 def _cmd_train(args):
     overrides = {}
-    if args.method:
+    if args.method is not None:
         overrides["method"] = args.method
-    if args.target:
+    if args.target is not None:
         overrides["target"] = args.target
-    if args.seeds:
+    if args.seeds is not None:
         overrides["seeds"] = harness.parse_seeds(args.seeds)
-    if args.scale:
+    if args.scale is not None:
         overrides["scale"] = args.scale
     config = harness.load_config(args.config, overrides)
     run_dir = harness.run_experiment(config)

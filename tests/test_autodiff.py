@@ -3,6 +3,7 @@ import itertools
 import os
 import sys
 import threading
+import time
 import weakref
 
 import numpy as np
@@ -908,6 +909,36 @@ class TestWorkers:
             ad._split(self.on_both_threads(fail), [0, 1])
         # the pool runs the next split
         assert sorted(ad._split(self.on_both_threads(lambda: "worker"), [0, 1])) == ["caller", "worker"]
+
+    def test_an_exception_in_the_callers_part_waits_for_the_worker_parts(self, monkeypatch):
+        # else a worker could still write into the caller's arrays after _split returns
+        monkeypatch.setattr(ad, "_WORKERS", 2)
+        caller, both_started, finished = threading.get_ident(), threading.Barrier(2, timeout=10), threading.Event()
+
+        def part(p):
+            both_started.wait()  # one part on each thread
+            if threading.get_ident() == caller:
+                raise ValueError("caller part failed")
+            time.sleep(0.05)
+            finished.set()
+
+        with pytest.raises(ValueError, match="^caller part failed$"):
+            ad._split(part, [0, 1])
+        assert finished.is_set()
+
+    def test_splits_reuse_the_executors_threads(self, monkeypatch):
+        monkeypatch.setattr(ad, "_WORKERS", 2)
+
+        def split():  # the threads that ran its two parts, "caller" for the calling thread
+            return ad._split(self.on_both_threads(threading.current_thread), [0, 1])
+
+        ran = set(split())
+        threads = threading.active_count()
+        for _ in range(100):
+            ran.update(split())
+        assert threading.active_count() == threads
+        (worker,) = ran - {"caller"}
+        assert worker.name.startswith("avil-kernel")
 
     def test_a_worker_part_runs_under_the_callers_error_state(self, monkeypatch):
         monkeypatch.setattr(ad, "_WORKERS", 2)

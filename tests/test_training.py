@@ -66,7 +66,7 @@ def test_every_output_byte_is_the_same_at_1_and_2_workers(tmp_path, monkeypatch,
 @pytest.mark.parametrize(
     "method, patience", [("singletask", 3), ("multitask", 3), ("avil", 3), ("diw", 1), ("diw", 3)]
 )
-def test_the_feature_memo_changes_no_output_byte(tmp_path, monkeypatch, method, patience):
+def test_shared_dev_features_give_the_bytes_of_encoding_at_every_call(tmp_path, monkeypatch, method, patience):
     """Features a caller encodes once and shares across ``evaluate`` calls
     give the bytes of a run that encodes at every call."""
     config = replace(TINY, method=method, diw_patience=patience)
@@ -380,6 +380,8 @@ def test_unparsable_value_names_line_and_key(tmp_path, capsys, key, raw):
     "argv, expected",
     [
         (["train", "--seeds", "1,x"], "'1,x'"),
+        (["train", "--seeds", ""], "at least one seed is required"),
+        (["train", "--target", ""], "unknown target ''"),
         (["generate", "--synthetic", "-5"], "-5"),
         (["generate"], "--mnist-dir"),
         (["generate", "--mnist-dir", "idx", "--synthetic", "30"], "--mnist-dir and --synthetic"),
