@@ -72,9 +72,10 @@ this process may run on: the calling thread and the threads of a
 thread taking the next part as it finishes one. A worker runs only
 numpy on its own slices of arrays the caller made; every op, record and
 tape stays on the calling thread, so nothing a worker does is recorded and
-no worker enters an op. Each split computes every output element with the
-same operations in the same order as one thread, so results are
-byte-identical at any worker count:
+no worker enters an op. ``data`` renders and overlays its synthetic digits
+through the same split, so one executor serves the whole process. Each split
+computes every output element with the same operations in the same order as
+one thread, so results are byte-identical at any worker count:
 
 - ``conv2d`` forward: parts of about ``_BLOCK_BYTES / _WORKERS``
   bytes, each taken by the next free thread: output rows of every image
@@ -107,10 +108,21 @@ two workers it cuts only a conv of more than 4 MiB of them.
 Each part runs under the caller's floating-point error state, and an
 exception in any part is raised to the caller. The kernels pay off with
 BLAS on one thread, which ``harness`` sets for a run (see there).
+
+Before its threads start, ``_executor`` keeps glibc to one heap arena
+with ``mallopt``, so the executor threads allocate from the heap the
+calling thread frees into: a thread with an arena of its own allocates
+memory the calling thread cannot reuse (without it the ``diw-eval``
+benchmark's peak resident memory rose from 119.9 to 134.2 MiB). The
+threads start in the first split, which may come before ``harness`` runs
+an experiment: the benchmark and ``avil generate`` build the synthetic
+pool first. The setting acts only on this process, changes no computed
+value, and is skipped where the C library has no ``mallopt``.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -262,11 +274,26 @@ def _cpu_count():
 # Threads that share each encoder kernel: the calling thread and _WORKERS - 1
 # executor threads.
 _WORKERS = _cpu_count()
+# glibc's mallopt parameter number (malloc.h)
+_M_ARENA_MAX = -8
 
 
 @functools.cache  # one executor per worker count, its threads started by the first splits
 def _executor(workers):
+    _mallopt((_M_ARENA_MAX, 1))  # before the threads start: see the module docstring
     return ThreadPoolExecutor(workers - 1, thread_name_prefix="avil-kernel")
+
+
+def _mallopt(*settings):
+    """Set each (parameter, value) pair with glibc's ``mallopt``; a silent no-op where the C library has none."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # no C library to open, or no mallopt in it
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for parameter, value in settings:
+        mallopt(parameter, value)
 
 
 def _split(fn, parts):
@@ -277,6 +304,9 @@ def _split(fn, parts):
     part raised, so no thread still writes into the caller's arrays. Every
     part runs under the caller's floating-point error state (numpy keeps it
     per thread), and an exception raised in any part is raised here.
+
+    A part must not call ``_split``: run on an executor thread, the inner
+    split would wait for parts queued behind the part that waits.
     """
     helpers = min(_WORKERS, len(parts)) - 1
     if helpers < 1:

@@ -14,12 +14,16 @@ A deterministic synthetic digit source (`synthetic_mnist`) is provided as a
 configuration-visible alternative for environments without the standard IDX
 files; it renders seeded glyphs with random affine + elastic deformation,
 blur and contrast jitter so that classifier accuracies land in the same
-regime as on handwritten digits. It renders 32 digits per batch (one
-block of draws, one displacement blur, one warp, one per-image blur), so
-its output equals an image-at-a-time rendering byte for byte while peak
-memory stays that of one batch. The blurs and the warp are numpy code
-that mirrors scipy's ``gaussian_filter`` and ``map_coordinates`` bit for
-bit, tested against it; scipy is not imported here.
+regime as on handwritten digits. It renders 32 digits per chunk (one
+block of draws, one displacement blur, one warp, one per-image blur), one
+chunk on each of the ``autodiff._WORKERS`` threads that share the
+encoder kernels, so its output equals an image-at-a-time rendering byte
+for byte while peak memory stays that of one chunk per thread (1000
+digits traced 2.7 MiB over the result on one thread, 5.3 MiB on two).
+The blurs and the warp are numpy code that mirrors scipy's
+``gaussian_filter`` and ``map_coordinates`` bit for bit, tested against
+it; scipy is not imported here. The overlays are split over the same
+threads.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import autodiff
 from .errors import ConfigError
 from .files import read_array, read_exact, replace_atomically
 
@@ -234,9 +239,12 @@ def make_multimnist(images, labels, pair_seed, split):
         partner = rng.integers(0, n - 1, size=n)
         partner = partner + (partner >= np.arange(n))
     out = np.empty((n, 1, 28, 28), dtype=np.float32)
-    for lo in range(0, n, _CHUNK):  # a chunk's canvases and resize temporaries, not the set's
-        hi = min(lo + _CHUNK, n)
-        out[lo:hi, 0] = bilinear_resize(overlay_pair(images[lo:hi], images[partner[lo:hi]]), 28, 28)
+
+    def overlay(rows):  # a part's canvases and resize temporaries, not the set's
+        out[rows, 0] = bilinear_resize(overlay_pair(images[rows], images[partner[rows]]), 28, 28)
+
+    part = max(1, _CHUNK // autodiff._WORKERS)  # the parts in flight hold one chunk
+    autodiff._split(overlay, [slice(lo, lo + part) for lo in range(0, n, part)])
     return MultiMnistSet.whole(
         out,
         labels={
@@ -384,14 +392,15 @@ _DRAW_LOW, _DRAW_HIGH = np.ascontiguousarray(np.array(
     + [(18.0, 34.0), (0.3, 0.8), (0.75, 1.25)]  # displacement strength, blur sigma, contrast
 ).T)
 _DRAW_SPAN = _DRAW_HIGH - _DRAW_LOW
-# Images rendered per batch. The draws, sample coordinates and blur buffers
-# of a whole set would take many times the float32 result; those of 32
-# digits take about 2.5 MiB, so the blurs' many passes over them run mostly
-# in cache. On a 2-core Xeon with 2 MiB of L2 per core, 128 digits a batch
-# rendered about 20% slower.
+# Images rendered per chunk, one chunk per worker thread at a time. The
+# draws, sample coordinates and blur buffers of a whole set would take many
+# times the float32 result; those of 32 digits take about 2.5 MiB, so the
+# blurs' many passes over them run mostly in cache. On a 2-core Xeon with 2
+# MiB of L2 per core, 128 digits a chunk rendered about 20% slower.
 _RENDER_CHUNK = 32
-# Images overlaid, or gathered for a cache file, per batch: the canvases and
-# resize temporaries are about 20 KiB an image.
+# Images overlaid, or gathered for a cache file, at a time: the canvases and
+# resize temporaries are about 20 KiB an image. The overlay's worker threads
+# share the chunk, each taking parts of ``_CHUNK / autodiff._WORKERS`` images.
 _CHUNK = 128
 
 
@@ -406,25 +415,35 @@ def synthetic_mnist(n, seed):
     Draw order: all n labels first, then per image 1577 uniforms in the
     order of ``_DRAW_LOW``: rotation, two log-scales, shear, translation,
     the 2x28x28 displacement field, its strength, blur sigma, contrast.
-    Images are rendered in chunks of ``_RENDER_CHUNK`` (32), which bounds
-    peak memory. A chunk's draws are one ``rng.random`` block scaled as
-    ``low + (high - low) * u``, the arithmetic of numpy's ``uniform``, so
-    stream and values equal one ``uniform`` call per quantity per image.
-    The displacement blur, the warp and the per-image blur mirror scipy's
-    ``gaussian_filter`` and ``map_coordinates`` bit for bit, image by
-    image, tested against it, so no output depends on the chunk size.
+    Images are rendered in chunks of ``_RENDER_CHUNK`` (32), a group of
+    ``autodiff._WORKERS`` chunks at a time, which bounds peak memory. A
+    group's draws are one ``rng.random`` block, taken on the calling
+    thread in stream order and scaled as ``low + (high - low) * u``, the
+    arithmetic of numpy's ``uniform``, so stream and values equal one
+    ``uniform`` call per quantity per image. ``autodiff._split`` then
+    renders the group's chunks on the worker threads, each into its own
+    rows. The displacement blur, the warp and the per-image blur mirror
+    scipy's ``gaussian_filter`` and ``map_coordinates`` bit for bit, image
+    by image, tested against it, so no output depends on the chunk size
+    or the worker count.
     """
     if n < 0:
         raise ConfigError(f"cannot make {n} synthetic digits")
     rng = _rng(seed, "synthetic")
     labels = rng.integers(0, 10, size=n)
     images = np.empty((n, 28, 28), dtype=np.float32)
-    for lo in range(0, n, _RENDER_CHUNK):
-        hi = min(lo + _RENDER_CHUNK, n)
-        draws = rng.random((hi - lo, _DRAW_LOW.size))
+    group = autodiff._WORKERS * _RENDER_CHUNK
+    for start in range(0, n, group):
+        stop = min(start + group, n)
+        draws = rng.random((stop - start, _DRAW_LOW.size))
         draws *= _DRAW_SPAN  # low + (high - low) * u, numpy's own uniform arithmetic
         draws += _DRAW_LOW
-        images[lo:hi] = _render_digits(labels[lo:hi], draws)
+        block, block_labels = images[start:stop], labels[start:stop]
+
+        def render(rows):  # before the next group's draws: _split returns once every chunk is done
+            block[rows] = _render_digits(block_labels[rows], draws[rows])
+
+        autodiff._split(render, [slice(lo, lo + _RENDER_CHUNK) for lo in range(0, stop - start, _RENDER_CHUNK)])
     return images, labels.astype(np.int64)
 
 

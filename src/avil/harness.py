@@ -25,12 +25,9 @@ glibc's ``mallopt`` (``_keep_heap_resident``): up to 256 MiB of freed heap
 memory is kept, and requests under 32 MiB are served from the heap. Each
 pass of an epoch then reuses the memory the previous pass freed, which the
 default policy hands back to the kernel for the next pass to fault in
-again. It also keeps glibc to one arena: the ``autodiff`` kernels split
-their work over worker threads, and a thread with an arena of its own
-allocates memory the calling thread cannot reuse (without it the
-``diw-eval`` benchmark's peak resident memory rose from 119.9 to 134.2
-MiB). The settings act only on this process, change no computed value,
-and are skipped where the C library has no ``mallopt``.
+again. (``autodiff`` keeps glibc to one arena for its worker threads;
+see there.) The settings act only on this process, change no computed
+value, and are skipped where the C library has no ``mallopt``.
 
 It then runs numpy's bundled OpenBLAS on one thread for the rest of the
 process (``_one_blas_thread``), so the kernels' workers, not BLAS, use the
@@ -62,6 +59,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import autodiff
 from . import data as datamod
 from . import weighting
 from .errors import ConfigError
@@ -407,7 +405,6 @@ def write_aggregate_csv(path, summary_rows):
 # glibc's mallopt parameter numbers (malloc.h)
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
-_M_ARENA_MAX = -8
 # Free heap memory kept before any is returned: well above what one pass frees.
 _HEAP_TRIM_THRESHOLD = 256 << 20
 # Requests this large are mapped fresh: glibc's own dynamic ceiling on 64-bit,
@@ -420,22 +417,12 @@ _HEAP_MMAP_THRESHOLD = 32 << 20
 
 @functools.cache  # once per process: each ctypes library handle is a reference cycle
 def _keep_heap_resident():
-    """Fix both heap thresholds and keep one arena, so memory freed by one pass serves the next.
+    """Fix both heap thresholds, so memory freed by one pass serves the next.
 
     Setting either threshold turns off glibc's dynamic mmap threshold, so
-    both are set. With one arena the kernels' worker threads allocate from
-    the heap the calling thread frees into, not each from an arena of its
-    own. A silent no-op where the C library has no ``mallopt``.
+    both are set. A silent no-op where the C library has no ``mallopt``.
     """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, TypeError, AttributeError):  # no C library to open, or no mallopt in it
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_TRIM_THRESHOLD, _HEAP_TRIM_THRESHOLD)
-    mallopt(_M_MMAP_THRESHOLD, _HEAP_MMAP_THRESHOLD)
-    mallopt(_M_ARENA_MAX, 1)
+    autodiff._mallopt((_M_TRIM_THRESHOLD, _HEAP_TRIM_THRESHOLD), (_M_MMAP_THRESHOLD, _HEAP_MMAP_THRESHOLD))
 
 
 @functools.cache  # once per process, never switched back: see the module docstring

@@ -887,7 +887,7 @@ class TestWorkers:
 
     @staticmethod
     def on_both_threads(worker_part):
-        """A part function for two parts: the caller's waits until a pool thread has started the other."""
+        """A part function for two parts: the caller's waits until an executor thread has started the other."""
         caller, started = threading.get_ident(), threading.Event()
 
         def part(p):
@@ -907,7 +907,7 @@ class TestWorkers:
 
         with pytest.raises(ValueError, match="^worker part failed$"):
             ad._split(self.on_both_threads(fail), [0, 1])
-        # the pool runs the next split
+        # the executor thread runs the next split
         assert sorted(ad._split(self.on_both_threads(lambda: "worker"), [0, 1])) == ["caller", "worker"]
 
     def test_an_exception_in_the_callers_part_waits_for_the_worker_parts(self, monkeypatch):

@@ -1,10 +1,12 @@
 import gzip
 import hashlib
+import json
 import os
 import re
 import struct
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 from scipy import ndimage  # the oracle the synthetic digits mirror; avil itself never imports scipy
 
 import avil
+from avil import autodiff
 from avil import data as datamod
 from avil.data import (
     ConfigError,
@@ -32,6 +35,36 @@ MNIST_DIR = Path("data")
 HAVE_OFFICIAL = (MNIST_DIR / "train-images-idx3-ubyte").exists() or (
     MNIST_DIR / "train-images-idx3-ubyte.gz"
 ).exists()
+
+
+@pytest.fixture(params=[(1, False), (2, False), (2, True), (3, False)], ids=["1", "2", "2-first-last", "3"])
+def workers(request, monkeypatch):
+    """Run at 1, 2 and 3 workers, and at 2 with the first part of each split finishing last.
+
+    The delay makes a split that takes random draws in the order its parts
+    run, or writes a part into another part's rows, give other bytes. The
+    threads switch every 10 us, so they interleave within a part.
+    """
+    count, first_last = request.param
+    monkeypatch.setattr(autodiff, "_WORKERS", count)
+    if first_last:
+        split = autodiff._split
+
+        def first_finishes_last(fn, parts):
+            def part(p):
+                if p is parts[0]:
+                    time.sleep(0.005)
+                return fn(p)
+
+            return split(part, parts)
+
+        monkeypatch.setattr(autodiff, "_split", first_finishes_last)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def write_idx_pair(tmp_path, images, labels, gzipped=False):
@@ -204,10 +237,13 @@ class TestMakeMultimnist:
             assert ds.pixels[i, 0].tobytes() == bilinear_resize(canvas[None], 28, 28)[0].tobytes()
 
     @pytest.mark.parametrize("chunk", [1, 7, 300])
-    def test_bytes_do_not_depend_on_the_chunk(self, monkeypatch, rng, chunk):
+    def test_bytes_do_not_depend_on_the_chunk(self, monkeypatch, rng, chunk, workers):
         images = rng.uniform(size=(300, 28, 28)).astype(np.float32)
         labels = rng.integers(0, 10, size=300)
-        reference = make_multimnist(images, labels, pair_seed=4, split="train")
+        with monkeypatch.context() as one_part:
+            one_part.setattr(autodiff, "_WORKERS", 1)
+            one_part.setattr(datamod, "_CHUNK", 300)
+            reference = make_multimnist(images, labels, pair_seed=4, split="train")
         monkeypatch.setattr(datamod, "_CHUNK", chunk)
         ds = make_multimnist(images, labels, pair_seed=4, split="train")
         assert ds.pixels.tobytes() == reference.pixels.tobytes()
@@ -459,7 +495,7 @@ class TestSyntheticDigits:
             assert out.tobytes() == ndimage.gaussian_filter(image, sigma=s).tobytes()
 
     @pytest.mark.parametrize("chunk", [1, 7, 300])
-    def test_bytes_do_not_depend_on_the_render_chunk(self, monkeypatch, chunk):
+    def test_bytes_do_not_depend_on_the_render_chunk(self, monkeypatch, chunk, workers):
         monkeypatch.setattr(datamod, "_RENDER_CHUNK", chunk)
         images, _ = synthetic_mnist(300, 3)
         expected = "be630dcf73ca46ab9d01af4a8e4afdd3d6666e2d97eb4a18899c6ef69b434bb4"
@@ -513,6 +549,9 @@ def test_building_synthetic_pools_imports_no_scipy(tmp_path):
         "train, test = harness.load_pools(config)",
         "assert (len(train), len(test)) == (40, 10)",
         "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))",
+        "import json, threading",
+        "from avil import autodiff",
+        "print(json.dumps([autodiff._WORKERS, [t.name for t in threading.enumerate() if t is not threading.main_thread()]]))",
     ])
     sources = str(Path(avil.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [sources, os.environ.get("PYTHONPATH")]))
@@ -520,7 +559,12 @@ def test_building_synthetic_pools_imports_no_scipy(tmp_path):
         [sys.executable, "-c", code], cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
         capture_output=True, text=True, check=True,
     )
-    assert result.stdout.strip() == "[]"
+    modules, threads = result.stdout.splitlines()
+    assert modules == "[]"
+    # the kernels' executor is the only pool: at most _WORKERS - 1 threads, started by the first split
+    workers, names = json.loads(threads)
+    assert all(name.startswith("avil-kernel_") for name in names)
+    assert 0 < len(names) <= workers - 1 if workers > 1 else names == []
 
 
 def _toy(n, rng):
