@@ -10,20 +10,20 @@ Every sampling operation is a pure function of (data, seed, epoch[, key]):
 reruns reproduce byte-identical subsets and orders. Seeds and string keys
 are folded into one generator seed via crc32, never python's salted hash.
 
-A deterministic synthetic digit source (`synthetic_mnist`) is provided as a
-configuration-visible alternative for environments without the standard IDX
-files; it renders seeded glyphs with random affine + elastic deformation,
-blur and contrast jitter so that classifier accuracies land in the same
-regime as on handwritten digits. It renders 32 digits per chunk (one
-block of draws, one displacement blur, one warp, one per-image blur), one
-chunk on each of the ``autodiff._WORKERS`` threads that share the
-encoder kernels, so its output equals an image-at-a-time rendering byte
-for byte while peak memory stays that of one chunk per thread (1000
-digits traced 2.7 MiB over the result on one thread, 5.3 MiB on two).
-The blurs and the warp are numpy code that mirrors scipy's
-``gaussian_filter`` and ``map_coordinates`` bit for bit, tested against
-it; scipy is not imported here. The overlays are split over the same
-threads.
+A deterministic synthetic digit source (`synthetic_mnist`) is provided
+as a configuration-visible alternative for environments without the
+standard IDX files; it renders seeded glyphs with random affine +
+elastic deformation, blur and contrast jitter so that classifier
+accuracies land in the same regime as on handwritten digits. It renders
+64 digits per chunk (one block of draws), split into at most one part
+per thread that shares the encoder kernels, none under 32 digits (one
+displacement blur, one warp, one per-image blur a part), so its output
+equals an image-at-a-time rendering byte for byte while peak memory
+stays that of one chunk at any worker count (1000 digits traced 5.3 MiB
+over the result). The blurs and the warp are numpy code that mirrors
+scipy's ``gaussian_filter`` and ``map_coordinates`` bit for bit, tested
+against it; scipy is not imported here. The overlays are split over the
+same threads the same way (``_by_chunk``).
 """
 
 from __future__ import annotations
@@ -240,11 +240,15 @@ def make_multimnist(images, labels, pair_seed, split):
         partner = partner + (partner >= np.arange(n))
     out = np.empty((n, 1, 28, 28), dtype=np.float32)
 
-    def overlay(rows):  # a part's canvases and resize temporaries, not the set's
-        out[rows, 0] = bilinear_resize(overlay_pair(images[rows], images[partner[rows]]), 28, 28)
+    def overlay(lo, hi):  # a chunk's canvases and resize temporaries, not the set's
+        chunk, first, second = out[lo:hi, 0], images[lo:hi], partner[lo:hi]
 
-    part = max(1, _CHUNK // autodiff._WORKERS)  # the parts in flight hold one chunk
-    autodiff._split(overlay, [slice(lo, lo + part) for lo in range(0, n, part)])
+        def part(rows):
+            chunk[rows] = bilinear_resize(overlay_pair(first[rows], images[second[rows]]), 28, 28)
+
+        return part
+
+    _by_chunk(n, _CHUNK, overlay)
     return MultiMnistSet.whole(
         out,
         labels={
@@ -392,16 +396,21 @@ _DRAW_LOW, _DRAW_HIGH = np.ascontiguousarray(np.array(
     + [(18.0, 34.0), (0.3, 0.8), (0.75, 1.25)]  # displacement strength, blur sigma, contrast
 ).T)
 _DRAW_SPAN = _DRAW_HIGH - _DRAW_LOW
-# Images rendered per chunk, one chunk per worker thread at a time. The
+# Images rendered at a time: one block of draws, in at most two parts. The
 # draws, sample coordinates and blur buffers of a whole set would take many
 # times the float32 result; those of 32 digits take about 2.5 MiB, so the
 # blurs' many passes over them run mostly in cache. On a 2-core Xeon with 2
-# MiB of L2 per core, 128 digits a chunk rendered about 20% slower.
-_RENDER_CHUNK = 32
+# MiB of L2 per core, 128 digits at a time on one thread rendered about 20%
+# slower; on 2 shared AMD EPYC cores 64 took as long as 32.
+_RENDER_CHUNK = 64
 # Images overlaid, or gathered for a cache file, at a time: the canvases and
-# resize temporaries are about 20 KiB an image. The overlay's worker threads
-# share the chunk, each taking parts of ``_CHUNK / autodiff._WORKERS`` images.
+# resize temporaries are about 20 KiB an image.
 _CHUNK = 128
+# Fewest images in a part of a split chunk. In smaller parts the threads
+# wait for the interpreter lock more than they gain: 4000 digits rendered in
+# 0.16 s on two threads in parts of 16, 0.14 s on one thread and 0.11 s on
+# two in parts of 32 (2 shared AMD EPYC cores).
+_MIN_PART = 32
 
 
 def synthetic_mnist(n, seed):
@@ -415,40 +424,57 @@ def synthetic_mnist(n, seed):
     Draw order: all n labels first, then per image 1577 uniforms in the
     order of ``_DRAW_LOW``: rotation, two log-scales, shear, translation,
     the 2x28x28 displacement field, its strength, blur sigma, contrast.
-    Images are rendered in chunks of ``_RENDER_CHUNK`` (32), a group of
-    ``autodiff._WORKERS`` chunks at a time, which bounds peak memory. A
-    group's draws are one ``rng.random`` block, taken on the calling
-    thread in stream order and scaled as ``low + (high - low) * u``, the
-    arithmetic of numpy's ``uniform``, so stream and values equal one
-    ``uniform`` call per quantity per image. ``autodiff._split`` then
-    renders the group's chunks on the worker threads, each into its own
-    rows. The displacement blur, the warp and the per-image blur mirror
-    scipy's ``gaussian_filter`` and ``map_coordinates`` bit for bit, image
-    by image, tested against it, so no output depends on the chunk size
-    or the worker count.
+    Images are rendered in chunks of ``_RENDER_CHUNK`` (64), which bounds
+    peak memory. A chunk's draws are one ``rng.random`` block, taken on
+    the calling thread in stream order and scaled as
+    ``low + (high - low) * u``, the arithmetic of numpy's ``uniform``, so
+    stream and values equal one ``uniform`` call per quantity per image.
+    ``_by_chunk`` then renders the chunk's parts on the kernels' threads,
+    each into its own rows. The displacement blur, the warp and the
+    per-image blur mirror scipy's ``gaussian_filter`` and
+    ``map_coordinates`` bit for bit, image by image, tested against it, so
+    no output depends on the chunk size or the worker count.
     """
     if n < 0:
         raise ConfigError(f"cannot make {n} synthetic digits")
     rng = _rng(seed, "synthetic")
     labels = rng.integers(0, 10, size=n)
     images = np.empty((n, 28, 28), dtype=np.float32)
-    group = autodiff._WORKERS * _RENDER_CHUNK
-    for start in range(0, n, group):
-        stop = min(start + group, n)
-        draws = rng.random((stop - start, _DRAW_LOW.size))
+
+    def render(lo, hi):
+        draws = rng.random((hi - lo, _DRAW_LOW.size))
         draws *= _DRAW_SPAN  # low + (high - low) * u, numpy's own uniform arithmetic
         draws += _DRAW_LOW
-        block, block_labels = images[start:stop], labels[start:stop]
+        chunk, chunk_labels = images[lo:hi], labels[lo:hi]
 
-        def render(rows):  # before the next group's draws: _split returns once every chunk is done
-            block[rows] = _render_digits(block_labels[rows], draws[rows])
+        def part(rows):
+            chunk[rows] = _render_digits(chunk_labels[rows], draws[rows])
 
-        autodiff._split(render, [slice(lo, lo + _RENDER_CHUNK) for lo in range(0, stop - start, _RENDER_CHUNK)])
+        return part
+
+    _by_chunk(n, _RENDER_CHUNK, render)
     return images, labels.astype(np.int64)
 
 
+def _by_chunk(n, size, chunk_fn):
+    """Work through range(n) ``size`` rows at a time, each chunk split over the kernels' threads.
+
+    For each chunk [lo, hi), in order, ``chunk_fn(lo, hi)`` runs on the
+    calling thread and returns a part function. ``autodiff._split`` then
+    calls it with slices of range(hi - lo), one per worker but none under
+    ``_MIN_PART`` rows, and returns once every part is done, before the
+    next chunk starts. So the parts in flight hold one chunk at any worker
+    count, and whatever ``chunk_fn`` does (as drawing from a generator)
+    happens in chunk order on one thread.
+    """
+    for lo in range(0, n, size):
+        hi = min(lo + size, n)
+        parts = autodiff._spans(hi - lo, min(autodiff._WORKERS, (hi - lo) // _MIN_PART))
+        autodiff._split(chunk_fn(lo, hi), parts)
+
+
 def _render_digits(labels, draws):
-    """Warped, blurred, contrast-jittered templates [m,28,28] float64 for one chunk."""
+    """Warped, blurred, contrast-jittered templates [m,28,28] float64 for one part."""
     m = len(labels)
     # contiguous, so exp/cos/sin take the same loop as on one image's values
     theta = np.ascontiguousarray(draws[:, 0])
@@ -483,7 +509,7 @@ def _warp(labels, coords):
     templates are zero on their two outermost rows and columns, so
     clamping the base pixel to [0, 26] along each axis reads only zeros
     for such a point and gives that 0 too, and one gather from all ten
-    templates serves the whole chunk.
+    templates serves the whole part.
     """
     flat = _digit_templates().ravel()
     wy0, wx0 = coords[:, 0], coords[:, 1]  # the coordinates until overwritten

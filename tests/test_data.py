@@ -37,9 +37,11 @@ HAVE_OFFICIAL = (MNIST_DIR / "train-images-idx3-ubyte").exists() or (
 ).exists()
 
 
-@pytest.fixture(params=[(1, False), (2, False), (2, True), (3, False)], ids=["1", "2", "2-first-last", "3"])
+@pytest.fixture(
+    params=[(1, False), (2, False), (2, True), (3, False), (8, False)], ids=["1", "2", "2-first-last", "3", "8"]
+)
 def workers(request, monkeypatch):
-    """Run at 1, 2 and 3 workers, and at 2 with the first part of each split finishing last.
+    """Run at 1, 2, 3 and 8 workers, and at 2 with the first part of each multi-part split finishing last.
 
     The delay makes a split that takes random draws in the order its parts
     run, or writes a part into another part's rows, give other bytes. The
@@ -52,7 +54,7 @@ def workers(request, monkeypatch):
 
         def first_finishes_last(fn, parts):
             def part(p):
-                if p is parts[0]:
+                if p is parts[0] and len(parts) > 1:
                     time.sleep(0.005)
                 return fn(p)
 
@@ -245,11 +247,12 @@ class TestMakeMultimnist:
             one_part.setattr(datamod, "_CHUNK", 300)
             reference = make_multimnist(images, labels, pair_seed=4, split="train")
         monkeypatch.setattr(datamod, "_CHUNK", chunk)
+        monkeypatch.setattr(datamod, "_MIN_PART", 1)  # every chunk of more than one image splits
         ds = make_multimnist(images, labels, pair_seed=4, split="train")
         assert ds.pixels.tobytes() == reference.pixels.tobytes()
         assert ds.labels["br"].tobytes() == reference.labels["br"].tobytes()
 
-    def test_transient_memory_stays_that_of_one_chunk(self, rng, traced_peak):
+    def test_transient_memory_stays_that_of_one_chunk(self, rng, traced_peak, workers):
         images = rng.uniform(size=(2640, 28, 28)).astype(np.float32)
         labels = rng.integers(0, 10, size=2640)
         ds, peak = traced_peak(lambda: make_multimnist(images, labels, pair_seed=1, split="train"))
@@ -497,6 +500,7 @@ class TestSyntheticDigits:
     @pytest.mark.parametrize("chunk", [1, 7, 300])
     def test_bytes_do_not_depend_on_the_render_chunk(self, monkeypatch, chunk, workers):
         monkeypatch.setattr(datamod, "_RENDER_CHUNK", chunk)
+        monkeypatch.setattr(datamod, "_MIN_PART", 1)  # every chunk of more than one digit splits
         images, _ = synthetic_mnist(300, 3)
         expected = "be630dcf73ca46ab9d01af4a8e4afdd3d6666e2d97eb4a18899c6ef69b434bb4"
         assert hashlib.sha256(images.tobytes()).hexdigest() == expected
@@ -531,11 +535,12 @@ class TestSyntheticDigits:
         assert not templates[:, ~glyph].any()
         assert templates[:, glyph].any(axis=1).all()
 
-    def test_transient_memory_stays_that_of_one_chunk(self, traced_peak):
+    def test_transient_memory_stays_that_of_one_chunk(self, traced_peak, workers):
         synthetic_mnist(1, seed=0)  # the templates' cache
         (images, labels), peak = traced_peak(lambda: synthetic_mnist(1000, seed=0))
-        # about 2.7 MiB in chunks of 32; 82 MiB rendered all at once, 10.5 MiB
-        # in chunks of 128
+        # about 5.3 MiB in chunks of 64 at any worker count; 82 MiB rendered
+        # all at once, 10.5 MiB in chunks of 128 on one thread, 21 MiB at 8
+        # workers with a 32-digit chunk on each
         assert peak - images.nbytes - labels.nbytes < 12 * 2**20
 
 
@@ -545,9 +550,9 @@ def test_building_synthetic_pools_imports_no_scipy(tmp_path):
         "import sys",
         "import avil.cli",
         "from avil import harness",
-        "config = harness.ExperimentConfig(data_source='synthetic', synthetic_n=40, synthetic_test_n=10)",
+        "config = harness.ExperimentConfig(data_source='synthetic', synthetic_n=200, synthetic_test_n=50)",  # chunks that split
         "train, test = harness.load_pools(config)",
-        "assert (len(train), len(test)) == (40, 10)",
+        "assert (len(train), len(test)) == (200, 50)",
         "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))",
         "import json, threading",
         "from avil import autodiff",
