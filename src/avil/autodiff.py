@@ -25,14 +25,13 @@ each record once its rules have run, so what they captured is freed during
 the replay; a tape supports one ``backward``, and a second raises
 ``RuntimeError``.
 
-``conv2d(x, kernels, bias, pool=True)``, the encoder's form, is
-``maxpool2(conv2d(x, kernels, bias))`` bit for bit, but never holds the
-whole conv output: it pools each part of that output as the part is
-computed. Under a tape it makes two records. The first holds conv2d's
-rules and belongs to a node of the conv output that no tensor holds; the
-second, the pooled output's, holds maxpool2's masks and hands that node the
-conv output's gradient. ``backward`` follows node indices, so it needs no
-tensor there.
+``conv2d`` is the encoder's conv layer and its 2x2 max pool in one op. It
+never holds the whole conv output: it pools each part of that output, as
+``maxpool2`` would, as the part is computed. Under a tape it makes two
+records. The first holds the conv's rules and belongs to a node of the
+conv output that no tensor holds; the second, the pooled output's, holds
+the pool's masks and hands that node the conv output's gradient.
+``backward`` follows node indices, so it needs no tensor there.
 
 Convolution is valid (no padding), stride 1, with cross-correlation
 semantics (no kernel flip). Max pooling is non-overlapping 2x2, ties broken
@@ -51,7 +50,7 @@ activation to (batch, features) is a view in both directions.
 
 ``conv2d`` never holds a whole patch matrix, which is k*k = 25 times its
 input. Its forward works one part of the output at a time, the parts in
-flight together about ``_BLOCK_BYTES`` = 8 MiB of patches and, pooled, of
+flight together about ``_BLOCK_BYTES`` = 8 MiB of patches and of
 part-sized conv outputs; its backward works in blocks of output rows of
 about ``_BLOCK_BYTES`` of patches and at least one row. So peak memory
 falls by more than half. Parts and blocks also stay under the 32 MiB mmap
@@ -75,34 +74,38 @@ tape stays on the calling thread, so nothing a worker does is recorded and
 no worker enters an op. ``data`` renders and overlays its synthetic digits
 through the same split, so one executor serves the whole process. Each split
 computes every output element with the same operations in the same order as
-one thread, so results are byte-identical at any worker count:
+one thread, so results are byte-identical at any worker count (the tests
+compare 2, 3, 4 and 8 workers with 1, kernel by kernel and run by run):
 
 - ``conv2d`` forward: parts of about ``_BLOCK_BYTES / _WORKERS``
-  bytes, each taken by the next free thread: output rows of every image
-  (row pairs when pooled) or, where a pooled conv's row pair is too big,
-  that row pair of a span of images. Pooling is elementwise. A part's GEMM
-  sums over the patch rows (cin*k*k), which no split divides, and an output
-  element does not depend on how many columns its GEMM has while that count
-  is whole rows of its images (``_forward_parts`` says why; the tests pin
-  this for the model's shapes at batch 1 to 512).
-- ``conv2d`` kernel gradient: the blocks and their summation order stay
-  those of one thread; each worker owns the patch rows of a range of input
-  channels and sums their per-block GEMMs in block order. The summed
-  dimension is never split, and neither is conv1's gradient, which has one
-  input channel: cut by kernel row, its skinny GEMMs took longer on two
-  threads than whole on one (11.7 against 8.8 ms, float64, batch 256).
-- ``conv2d`` input gradient: input channels; each worker multiplies its own
-  rows of the kernel matrix and adds into its own channels of the gradient.
+  bytes, each taken by the next free thread: row pairs of every image or,
+  where one row pair is too big, that row pair of a span of images. Pooling
+  is elementwise. A part's GEMM sums over the patch rows (cin*k*k), which no
+  split divides, and an output element does not depend on how many columns
+  its GEMM has while that count is whole rows of its images
+  (``_forward_parts`` says why; the tests pin this for the model's shapes
+  at batch 1 to 512).
+- ``conv2d`` kernel and input gradients: two fixed halves of the input
+  channels from ``_SPLIT_BYTES`` of patches, else one group, at any worker
+  count, so the backward uses at most two threads. A GEMM's last bits
+  depend on its row count (numpy's bundled OpenBLAS gave a (250 x 512) by
+  (512 x 20) product other bits in row chunks of 25 to 100 than whole), and
+  a group per worker moved conv2's kernel gradient at 4 and 8 workers. The
+  blocks and their summation order stay those of one thread; the summed
+  dimension is never split, nor is conv1's one input channel: cut by kernel
+  row, its skinny GEMMs took longer on two threads than whole on one (11.7
+  against 8.8 ms, float64, batch 256).
 - ``conv2d`` bias gradient, ``maxpool2`` (forward, masks and VJP), the
-  pooled conv's VJP into its conv output, and ``relu`` on 4-d inputs
-  (forward and VJP): channels, elementwise or one sum per channel.
+  conv's VJP through its pool, and ``relu`` on 4-d inputs (forward and
+  VJP): channels, elementwise or one sum per channel.
 - ``linear``, ``cross_entropy_mean`` and the helpers run whole.
 
 A split is gated on the bytes of its work: an elementwise kernel's
 operand, the output gradient a bias gradient sums, the patches of
 ``conv2d``'s kernel and input gradients. ``_workers_for`` splits it only
 from ``_SPLIT_BYTES``, below which handing a part to a thread costs more
-than it saves. ``conv2d``'s forward has no gate: its parts hold about
+than it saves, and ``conv2d``'s backward cuts its channel halves only from
+there. ``conv2d``'s forward has no gate: its parts hold about
 ``_BLOCK_BYTES / _WORKERS`` bytes of patches and conv buffer each, so at
 two workers it cuts only a conv of more than 4 MiB of them.
 Each part runs under the caller's floating-point error state, and an
@@ -407,16 +410,14 @@ def _row_blocks(ho, row_elements, block):
     return [slice(r, min(r + rows, ho)) for r in range(0, ho, rows)]
 
 
-def _forward_parts(ho, b, row_elements, step, block):
+def _forward_parts(ho, b, row_elements, block):
     """(output rows, images) slices of a conv forward, parts of about ``block / _WORKERS`` elements.
 
     ``block`` is ``_BLOCK_BYTES`` in elements of the conv's compute dtype,
     and ``row_elements`` what one output row of one image needs. A part takes
-    a multiple of ``step`` whole rows of every image while ``step`` rows
-    fit, the last part maybe fewer; else ``step`` rows of a span of images,
-    the spans of a batch differing by at most one image. A plain conv
-    (``step`` 1) takes at least one row of every image, as its GEMM writes
-    straight into its output's rows.
+    whole row pairs of every image while one fits, the last part maybe
+    fewer; else one row pair of a span of images, the spans of a batch
+    differing by at most one image.
 
     Images, not columns, are cut so that a part's GEMM has whole rows of
     each of its images as columns. Numpy's bundled OpenBLAS, on an AVX-512
@@ -427,21 +428,19 @@ def _forward_parts(ho, b, row_elements, step, block):
     of 4 columns per image, whose outputs moved at 3 or more workers.
     """
     per_part = block // _WORKERS // row_elements  # rows of one image
-    rows = per_part // b // step * step
-    if rows or step == 1:
-        rows = max(rows, 1)
+    rows = per_part // b // 2 * 2
+    if rows:
         return [(slice(r, min(r + rows, ho)), slice(0, b)) for r in range(0, ho, rows)]
-    images = max(1, per_part // step)  # at most, per part
+    images = max(1, per_part // 2)  # at most, per part
     spans = _spans(b, -(-b // images))
-    return [(slice(r, r + step), span) for r in range(0, ho, step) for span in spans]
+    return [(slice(r, r + 2), span) for r in range(0, ho, 2) for span in spans]
 
 
-def conv2d(x, kernels, bias, pool=False):
-    """Valid stride-1 cross-correlation of x[b,cin,h,w] with kernels[cout,cin,k,k].
+def conv2d(x, kernels, bias):
+    """2x2 max pool of the valid stride-1 cross-correlation of x[b,cin,h,w] with kernels[cout,cin,k,k].
 
-    With ``pool=True`` returns ``maxpool2(conv2d(x, kernels, bias))``, bit
-    for bit and in both gradients' layouts, without ever holding the whole
-    conv output; the conv output must have even spatial dims.
+    The pool is ``maxpool2``'s, ties and gradient routing included, but the
+    whole conv output, whose spatial dims must be even, is never held.
 
     Accepts x in any layout and lays it out batch-innermost as (cin, h, w, b)
     in the result dtype of x and the kernels: free for an activation, and
@@ -449,16 +448,14 @@ def conv2d(x, kernels, bias, pool=False):
     the input gradient are (b, c, h, w) views of batch-innermost (c, h, w, b)
     memory.
 
-    The output is computed one part at a time (``_forward_parts``): output
-    rows of every image or, where a pooled conv's row pair is too big, that
-    row pair of a span of images. The part's patch matrix, (cin*k*k,
-    rows*wo*images) with rows in the kernel's (cin, ki, kj) order, is copied
-    along batch-innermost rows and multiplied into the part's conv outputs,
-    and the bias is added while they are in cache. A plain conv multiplies
-    straight into its output's rows; a pooled one into a part-sized buffer,
-    which it pools into its output there (and into the masks, under a tape).
-    Each part goes to the next free worker thread, and holds about
-    ``_BLOCK_BYTES / _WORKERS`` bytes of patches and conv buffer, so no
+    The output is computed one part at a time (``_forward_parts``): row pairs
+    of every image or, where one row pair is too big, that row pair of a span
+    of images. The part's patch matrix, (cin*k*k, rows*wo*images) with rows in
+    the kernel's (cin, ki, kj) order, is copied along batch-innermost rows and
+    multiplied into a part-sized conv buffer, the bias is added while it is in
+    cache, and the buffer is pooled into the output there (and into the masks,
+    under a tape). Each part goes to the next free worker thread, and holds
+    about ``_BLOCK_BYTES / _WORKERS`` bytes of patches and conv buffer, so no
     temporary grows with k*k times the input: peak memory stays near that of
     the input, output and gradients, and no part reaches the 32 MiB mmap
     threshold (see ``harness``) above which glibc maps and zero-fills fresh
@@ -466,11 +463,11 @@ def conv2d(x, kernels, bias, pool=False):
 
     A tape keeps only the input. The kernel gradient rebuilds the patches
     of blocks of ``_BLOCK_BYTES`` and sums the per-block GEMMs, block by
-    block, each worker for its own patch rows; the input gradient forms one
-    block's patch gradient at a time and does its k*k shifted adds, each
-    worker for its own channels. A pooled conv records these rules on a
-    node of the conv output that no tensor holds, and maxpool2's mask
-    scatter on its output, whose gradient it hands that node.
+    block, for each channel group's patch rows; the input gradient forms one
+    block's patch gradient at a time and does its k*k shifted adds, for each
+    group's channels. These rules are recorded on a node of the conv output
+    that no tensor holds, and the pool's mask scatter on the output, whose
+    gradient it hands that node.
     """
     if x.data.ndim != 4 or kernels.data.ndim != 4:
         raise ShapeError(f"conv2d expects 4-d operands, got {x.shape} and {kernels.shape}")
@@ -483,8 +480,8 @@ def conv2d(x, kernels, bias, pool=False):
     if bias.shape != (cout,):
         raise ShapeError(f"conv2d bias shape {bias.shape} does not match kernels {kernels.shape}")
     ho, wo = h - k + 1, w - k + 1
-    if pool and (ho % 2 or wo % 2):
-        raise ShapeError(f"conv2d pool=True requires an even conv output, got {ho}x{wo} from input {x.shape}")
+    if ho % 2 or wo % 2:
+        raise ShapeError(f"conv2d requires an even conv output to pool, got {ho}x{wo} from input {x.shape}")
     xt = np.ascontiguousarray(x.data.transpose(1, 2, 3, 0), dtype=np.result_type(kernels.data, x.data))
     win = sliding_window_view(xt, (k, k), axis=(1, 2))  # cin, ho, wo, b, k, k
     kmat = kernels.data.reshape(cout, -1)
@@ -504,25 +501,26 @@ def conv2d(x, kernels, bias, pool=False):
         return a.transpose(3, 0, 1, 2)  # the (b, c, h, w) view of (c, h, w, b) memory
 
     taped = active_tape() is not None and any(t.tracked for t in (x, kernels, bias))
-    out = np.empty((cout, ho // 2, wo // 2, b) if pool else (cout, ho, wo, b), dtype=out_dtype)
-    masks = [np.empty(out.shape, dtype=bool) for _ in range(2)] if pool and taped else []
+    out = np.empty((cout, ho // 2, wo // 2, b), dtype=out_dtype)
+    masks = [np.empty(out.shape, dtype=bool) for _ in range(2)] if taped else []
 
     def forward(part):
         rs, images = part
-        conv = np.matmul(kmat, patches(rs, images), out=None if pool else rows(out, rs))
+        conv = kmat @ patches(rs, images)
         conv += bias.data[:, None]
-        if pool:
-            pooled = (slice(None), slice(rs.start // 2, rs.stop // 2), slice(None), images)
-            conv = bchw(conv.reshape(cout, rs.stop - rs.start, wo, -1))
-            _pool_into(conv, *(bchw(a[pooled]) for a in [out, *masks]))
+        pooled = (slice(None), slice(rs.start // 2, rs.stop // 2), slice(None), images)
+        conv = bchw(conv.reshape(cout, rs.stop - rs.start, wo, -1))
+        _pool_into(conv, *(bchw(a[pooled]) for a in [out, *masks]))
 
-    # per output position of an image a part holds a patch column and, pooled, a conv buffer column
-    row_elements = (kmat.shape[1] + (cout if pool else 0)) * wo
-    _split(forward, _forward_parts(ho, b, row_elements, 2 if pool else 1, block))
+    # per output position of an image a part holds a patch column and a conv buffer column
+    _split(forward, _forward_parts(ho, b, (kmat.shape[1] + cout) * wo, block))
+    if not taped:
+        return Tensor(bchw(out))
 
-    # the backward GEMMs: one per block, each split by input channel from _SPLIT_BYTES of patches
+    # the backward GEMMs: one per block, each cut into two fixed halves of the
+    # input channels from _SPLIT_BYTES of patches, whatever the worker count
     blocks = _row_blocks(ho, kmat.shape[1] * wo * b, block)
-    channels = _spans(cin, _workers_for(kmat.shape[1] * ho * wo * b * out_dtype.itemsize))
+    channels = _spans(cin, 2 if kmat.shape[1] * ho * wo * b * out_dtype.itemsize >= _SPLIT_BYTES else 1)
 
     def batch_innermost(g):
         return np.ascontiguousarray(g.transpose(1, 2, 3, 0))  # free when g is batch-innermost
@@ -568,17 +566,13 @@ def conv2d(x, kernels, bias, pool=False):
         _split(scatter, channels)
         return bchw(dx)
 
-    rules = ((x, d_x), (kernels, d_kernels), (bias, d_bias))
-    if not pool:
-        return _make(bchw(out), rules)
-    if not taped:
-        return Tensor(bchw(out))
     top, left = (bchw(m) for m in masks)
 
     def d_conv(g):
         return _unpool(g, top, left, bchw(np.empty((cout, ho, wo, b), dtype=out_dtype)))
 
-    conv_node = _record(rules)  # the conv output's node: no tensor holds that output
+    # the conv output's node: no tensor holds that output
+    conv_node = _record(((x, d_x), (kernels, d_kernels), (bias, d_bias)))
     return _output(bchw(out), active_tape().record(((conv_node, d_conv),)))
 
 
@@ -627,7 +621,8 @@ def maxpool2(x):
     output's shape, never the input: ``top``, the window's top row holds its
     maximum, and ``left``, the chosen row's left element holds that row's
     maximum. A tape-free call computes no masks. Forward and backward are
-    split by channel over the workers.
+    split by channel over the workers. The encoder pools inside ``conv2d``;
+    only the benchmark's per-op probe and the tests call this op.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"maxpool2 expects a 4-d input, got {x.shape}")

@@ -44,8 +44,9 @@ its last bits between one and two BLAS threads, in both dtypes, and so did
 that of some multiples of 8 from 392 up (float64; from 456 up in float32);
 tape-free features never did. A run with such a training batch or
 dev-gradient chunk therefore writes other results than before. In return,
-no result depends on the machine's core count any more. The benchmark's
-workloads (batches and chunks of 144, 208, 256 and 400 images) keep every
+no result depends on the machine's core count any more: the kernels' splits
+keep every byte (see ``autodiff``), and the tests compare whole runs at 2,
+3, 4 and 8 workers with 1. The benchmark's workloads (batches and chunks of 144, 208, 256 and 400 images) keep every
 byte.
 """
 

@@ -3,9 +3,9 @@
 Encoder: conv 10@5x5 -> maxpool 2x2 -> relu -> conv 20@5x5 -> maxpool 2x2
 -> relu -> flatten(320) -> fc 320x50 -> relu. One linear 50x10 head per
 task. 28x28 input gives 24 -> 12 -> 8 -> 4 spatial sizes, hence the 320
-(=20*4*4) flatten width. Each conv pools as it goes (``conv2d`` with
-``pool=True``), so no forward pass holds a whole conv output and a tape
-keeps none: the conv output's node on the tape has no tensor.
+(=20*4*4) flatten width. Each conv pools as it goes (``conv2d`` is a conv
+and its pool in one op), so no forward pass holds a whole conv output and a
+tape keeps none: the conv output's node on the tape has no tensor.
 
 Parameters are exposed as a flat "parameter vector" in a canonical fixed
 order: encoder parameters first (conv1 w/b, conv2 w/b, fc w/b), then each
@@ -83,9 +83,8 @@ class MultiHeadModel:
         if len(set(ids)) != len(ids):
             raise ConfigError(f"duplicate task ids: {ids}")
         self.task_ids = sorted(ids)
-        self.seed = int(seed)
         self.dtype = np.dtype(dtype)
-        rng = np.random.default_rng(self.seed)
+        rng = np.random.default_rng(int(seed))
         self._flat = np.empty(ENCODER_PARAMS + HEAD_PARAMS * len(self.task_ids), dtype=self.dtype)
         self._params = []
         self._encoder = self._init_params(rng, ENCODER_SHAPES)
@@ -130,8 +129,8 @@ class MultiHeadModel:
         Under an active tape the result is differentiable with respect to
         the encoder parameters.
         """
-        x = ad.relu(ad.conv2d(ad.Tensor(images), self._encoder["conv1_w"], self._encoder["conv1_b"], pool=True))
-        x = ad.relu(ad.conv2d(x, self._encoder["conv2_w"], self._encoder["conv2_b"], pool=True))
+        x = ad.relu(ad.conv2d(ad.Tensor(images), self._encoder["conv1_w"], self._encoder["conv1_b"]))
+        x = ad.relu(ad.conv2d(x, self._encoder["conv2_w"], self._encoder["conv2_b"]))
         x = ad.reshape(x, (x.shape[0], ENCODER_SHAPES[4][1][0]))
         return ad.relu(ad.linear(x, self._encoder["fc_w"], self._encoder["fc_b"]))
 
@@ -147,10 +146,6 @@ class MultiHeadModel:
     def head_logits(self, feats, task):
         head = self.head(task)
         return ad.linear(feats, head["w"], head["b"])
-
-    def forward(self, images, task):
-        """Logits [batch, 10] for one task's head."""
-        return self.head_logits(self.features(images), task)
 
     def loss_grad(self, images, labels, weights):
         """(loss, {task: raw loss}, flat gradient) of one batch.

@@ -13,6 +13,7 @@ from avil import autodiff as ad
 from avil.autodiff import ShapeError, Tape, Tensor, backward
 from avil.model import build_model
 from gradcheck import assert_gradients_close, numeric_gradient
+from reference import assert_close_to, maxpool_reference, naive_conv, naive_conv_vjp, pooled_conv_reference
 
 
 def tracked(data):
@@ -89,35 +90,49 @@ class TestLinear:
 
 
 class TestConv2d:
-    def test_box_sum(self):
-        x = tracked(np.ones((1, 1, 3, 3)))
-        k = tracked(np.ones((1, 1, 2, 2)))
-        out = ad.conv2d(x, k, tracked([0.0]))
-        np.testing.assert_array_equal(out.data, np.full((1, 1, 2, 2), 4.0))
+    """``conv2d`` is a valid stride-1 cross-correlation and the 2x2 max pool of its output."""
 
-    def test_impulse_response_reveals_kernel(self):
-        # cross-correlation: a centered unit impulse reproduces the kernel
-        # spatially reversed (true convolution would reproduce it unflipped)
-        x = np.zeros((1, 1, 5, 5))
+    def test_box_sum(self):
+        out = ad.conv2d(tracked(np.ones((1, 1, 4, 4))), tracked(np.ones((1, 1, 3, 3))), tracked([0.0]))
+        np.testing.assert_array_equal(out.data, np.full((1, 1, 1, 1), 9.0))
+
+    def test_impulse_response_reveals_the_kernel_reversed(self):
+        # cross-correlation: a unit impulse reproduces the kernel spatially
+        # reversed, here as the top-left 3x3 of the 4x4 conv output (true
+        # convolution would pool the kernel unflipped: [[4, 5], [7, 8]])
+        x = np.zeros((1, 1, 6, 6))
         x[0, 0, 2, 2] = 1.0
         k = np.arange(9, dtype=np.float64).reshape(1, 1, 3, 3)
         out = ad.conv2d(tracked(x), tracked(k), tracked([0.0]))
-        np.testing.assert_array_equal(out.data[0, 0], k[0, 0, ::-1, ::-1])
+        np.testing.assert_array_equal(out.data[0, 0], [[8.0, 6.0], [2.0, 0.0]])
 
-    def test_delta_kernel_is_identity_crop(self):
-        # the cross-correlation identity: a centered delta kernel crops the
-        # input window unchanged
+    def test_delta_kernel_pools_the_cropped_input(self):
+        # a centered delta kernel crops the input window unchanged
         gen = np.random.default_rng(5)
-        x = gen.standard_normal((1, 1, 5, 5))
+        x = gen.standard_normal((1, 1, 6, 6))
         k = np.zeros((1, 1, 3, 3))
         k[0, 0, 1, 1] = 1.0
         out = ad.conv2d(tracked(x), tracked(k), tracked([0.0]))
-        np.testing.assert_array_equal(out.data[0, 0], x[0, 0, 1:4, 1:4])
+        np.testing.assert_array_equal(out.data[0, 0], x[0, 0, 1:5, 1:5].reshape(2, 2, 2, 2).max(axis=(1, 3)))
 
     def test_kernel_larger_than_input_is_error(self):
         with pytest.raises(ShapeError, match="larger than input"):
             ad.conv2d(tracked(np.ones((1, 1, 3, 3))), tracked(np.ones((1, 1, 5, 5))), tracked([0.0]))
 
+    def test_odd_conv_output_rejected(self):
+        with pytest.raises(ShapeError, match="even"):
+            ad.conv2d(tracked(np.ones((1, 1, 7, 8))), tracked(np.ones((1, 1, 2, 2))), tracked(np.zeros(1)))
+
+    def test_tape_free_call_records_nothing(self, rng):
+        args = [tracked(rng.standard_normal(s)) for s in ((2, 1, 6, 6), (3, 1, 3, 3), (3,))]
+        out = ad.conv2d(*args)
+        assert out.tape is None and not out.tracked and out.shape == (2, 3, 2, 2)
+        with Tape() as tape:
+            out = ad.conv2d(*[Tensor(a.data) for a in args])
+        assert tape._records == [] and out.tape is None and not out.tracked
+
+    # random inputs keep every window's maximum far from a tie, so the finite
+    # differences do not cross the pool's argmax
     @pytest.mark.parametrize("seed", range(10))
     def test_kernel_gradient_matches_finite_differences(self, seed):
         gen = np.random.default_rng(seed)
@@ -135,7 +150,7 @@ class TestConv2d:
     @pytest.mark.parametrize("seed", range(10))
     def test_input_gradient_matches_finite_differences(self, seed):
         gen = np.random.default_rng(200 + seed)
-        x0 = gen.standard_normal((2, 2, 5, 5))
+        x0 = gen.standard_normal((2, 2, 6, 6))
         k = gen.standard_normal((3, 2, 3, 3))
         b = gen.standard_normal(3)
         # relu after the conv makes the input gradient position-dependent
@@ -146,33 +161,6 @@ class TestConv2d:
             lambda x: ad.relu(ad.conv2d(Tensor(x), Tensor(k), Tensor(b))).data.sum(), x0
         )
         assert_gradients_close(grads[xt], numeric, rtol=1e-4)
-
-
-def naive_conv(x, kernels, bias):
-    """Valid cross-correlation, one output position at a time."""
-    b, _, h, w = x.shape
-    cout, _, k, _ = kernels.shape
-    out = np.zeros((b, cout, h - k + 1, w - k + 1))
-    for n, y, z in itertools.product(range(b), range(h - k + 1), range(w - k + 1)):
-        out[n, :, y, z] = np.tensordot(kernels, x[n, :, y : y + k, z : z + k], axes=3) + bias
-    return out
-
-
-def naive_conv_vjp(x, kernels, g):
-    """(dx, dkernels, dbias) of naive_conv for upstream gradient g."""
-    b, _, ho, wo = g.shape
-    k = kernels.shape[2]
-    dx = np.zeros(x.shape)
-    dk = np.zeros(kernels.shape)
-    for n, y, z in itertools.product(range(b), range(ho), range(wo)):
-        dx[n, :, y : y + k, z : z + k] += np.tensordot(g[n, :, y, z], kernels, axes=1)
-        dk += g[n, :, y, z][:, None, None, None] * x[n, :, y : y + k, z : z + k]
-    return dx, dk, g.sum(axis=(0, 2, 3))
-
-
-def assert_close_to(actual, reference, rtol=1e-12):
-    """Relative agreement, scaled by the reference's largest entry near zeros."""
-    np.testing.assert_allclose(actual, reference, rtol=rtol, atol=rtol * np.abs(reference).max())
 
 
 def block_rows(ho, row_elements):
@@ -190,30 +178,60 @@ class TestConv2dReference:
         # the second conv reads the first's batch-innermost output and hands
         # back a batch-innermost input gradient as the first's upstream
         gen = np.random.default_rng(11)
-        h, w = (8, 8) if blocks == "one block" else (18, 8)
         if blocks == "forced blocks":
-            # uneven row blocks ending in a one-row block: 27 and 16 patch
-            # rows per output position, 6 and 5 output columns, batch 2
-            monkeypatch.setattr(ad, "_BLOCK_BYTES", 1200 * 8)  # 1200 float64 elements
-            assert block_rows(16, 27 * 6 * 2) == [3, 3, 3, 3, 3, 1]
-            assert block_rows(15, 16 * 5 * 2) == [7, 7, 1]
-        x = LAYOUTS[layout](gen.standard_normal((2, 3, h, w)))
-        k1, b1 = gen.standard_normal((4, 3, 3, 3)), gen.standard_normal(4)
-        k2, b2 = gen.standard_normal((5, 4, 2, 2)), gen.standard_normal(5)
-        upstream = gen.standard_normal((2, 5, h - 3, w - 3))
+            # uneven row blocks ending in a one-row block: 27 and 54 patch
+            # rows per output position, 16 and 6 output columns, batch 2
+            monkeypatch.setattr(ad, "_BLOCK_BYTES", 3300 * 8)  # 3300 float64 elements
+            assert block_rows(16, 27 * 16 * 2) == [3, 3, 3, 3, 3, 1]
+            assert block_rows(6, 54 * 6 * 2) == [5, 1]
+        x = LAYOUTS[layout](gen.standard_normal((2, 3, 18, 18)))
+        k1, b1 = gen.standard_normal((6, 3, 3, 3)), gen.standard_normal(6)
+        k2, b2 = gen.standard_normal((5, 6, 3, 3)), gen.standard_normal(5)
+        upstream = gen.standard_normal((2, 5, 3, 3))
         leaves = [tracked(a) for a in (x, k1, b1, k2, b2)]
         with Tape():
             hidden = ad.conv2d(*leaves[:3])
             out = ad.conv2d(hidden, *leaves[3:])
             loss = weighted_sum(out, upstream)
         grads = backward(loss)
-        ref_hidden = naive_conv(x, k1, b1)
+        ref_hidden, hidden_vjp = pooled_conv_reference(x, k1, b1)
+        ref_out, out_vjp = pooled_conv_reference(ref_hidden, k2, b2)
         assert_close_to(hidden.data, ref_hidden)
-        assert_close_to(out.data, naive_conv(ref_hidden, k2, b2))
-        d_hidden, dk2, db2 = naive_conv_vjp(ref_hidden, k2, upstream)
-        dx, dk1, db1 = naive_conv_vjp(x, k1, d_hidden)
+        assert_close_to(out.data, ref_out)
+        d_hidden, dk2, db2 = out_vjp(upstream)
+        dx, dk1, db1 = hidden_vjp(d_hidden)
         for leaf, reference in zip(leaves, (dx, dk1, db1, dk2, db2)):
             assert_close_to(grads[leaf], reference)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_tied_windows_route_their_gradient_to_their_first_element(self, dtype):
+        # zero kernels make every conv output its channel's bias, so all four
+        # elements of every window tie
+        gen = np.random.default_rng(19)
+        x = gen.standard_normal((3, 2, 7, 7)).astype(dtype)
+        k = np.zeros((4, 2, 4, 4), dtype=dtype)
+        b = gen.standard_normal(4).astype(dtype)
+        g = gen.standard_normal((3, 4, 2, 2)).astype(dtype)
+        leaves = [Tensor(a, tracked=True) for a in (x, k, b)]
+        with Tape() as tape:
+            out = ad.conv2d(*leaves)
+            loss = weighted_sum(out, g)
+        ((_, d_conv),) = tape._records[out.node]
+        d_conv_output = d_conv(g)  # the gradient the pool hands the conv output
+        grads = backward(loss)
+        conv = naive_conv(x, k, b)
+        assert (conv == b[None, :, None, None]).all()
+        ref_out, ref_d_conv = maxpool_reference(conv, g)
+        assert bits(out.data) == bits(ref_out.astype(dtype))
+        assert bits(d_conv_output) == bits(ref_d_conv.astype(dtype))
+        windows = d_conv_output.reshape(3, 4, 2, 2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(-1, 4)
+        assert (windows[:, 0] == g.reshape(-1)).all() and (windows[:, 1:] == 0).all()
+        # the kernel gradient sees where the gradient went: each window's
+        # first element's patch, weighted by the window's upstream gradient
+        _, ref_dk, ref_db = naive_conv_vjp(x, k, ref_d_conv)
+        rtol = 1e-5 if dtype == np.float32 else 1e-12
+        assert_close_to(grads[leaves[1]], ref_dk, rtol)
+        assert_close_to(grads[leaves[2]], ref_db, rtol)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_peak_memory_stays_within_a_few_row_blocks(self, traced_peak, dtype):
@@ -231,14 +249,15 @@ class TestConv2dReference:
             return out, backward(loss)
 
         (out, grads), peak = traced_peak(forward_backward)
-        # the output, its gradient as tensor_sum hands it and as batch-innermost
-        # rows, the input gradient, and one block's patches or patch gradient
-        assert peak < 3 * out.data.nbytes + grads[x].nbytes + 1.5 * ad._BLOCK_BYTES
+        # the output, its gradient as tensor_sum hands it, the conv output's
+        # gradient (four times the output), the input gradient, and one
+        # block's patches or patch gradient
+        assert peak < 6 * out.data.nbytes + grads[x].nbytes + 1.5 * ad._BLOCK_BYTES
 
     def test_a_block_holds_the_same_bytes_in_float32_and_float64(self, monkeypatch):
-        # conv2's shapes at batch 256, 2 workers: a forward part is 2 output
-        # rows of every image in float32 and 1 in float64, a backward block
-        # 4 output rows and 2
+        # conv2's shapes at batch 242, 2 workers: a forward part is one row
+        # pair of every image in float32 and of half the images in float64,
+        # a backward block 4 output rows and 2
         monkeypatch.setattr(ad, "_WORKERS", 2)
         held = {}  # the most elements a forward part or a backward block holds
         forward_parts, row_blocks = ad._forward_parts, ad._row_blocks
@@ -256,27 +275,14 @@ class TestConv2dReference:
         monkeypatch.setattr(ad, "_forward_parts", recorded_parts)
         monkeypatch.setattr(ad, "_row_blocks", recorded_blocks)
         gen = np.random.default_rng(17)
-        arrays = [gen.standard_normal(shape) for shape in ((256, 10, 12, 12), (20, 10, 5, 5), (20,))]
+        arrays = [gen.standard_normal(shape) for shape in ((242, 10, 12, 12), (20, 10, 5, 5), (20,))]
         nbytes = {}
         for dtype in (np.float32, np.float64):
-            ad.conv2d(*(Tensor(a.astype(dtype)) for a in arrays))
+            with Tape():  # the backward's blocks are cut only under a tape
+                ad.conv2d(*(Tensor(a.astype(dtype), tracked=True) for a in arrays))
             nbytes[dtype] = {name: elements * np.dtype(dtype).itemsize for name, elements in held.items()}
         assert nbytes[np.float32] == nbytes[np.float64]
         assert nbytes[np.float64]["block"] <= ad._BLOCK_BYTES
-
-
-def maxpool_reference(x, g):
-    """The argmax / take_along_axis / put_along_axis kernel, for comparison."""
-    b, c, h, w = x.shape
-    h2, w2 = h // 2, w // 2
-    win = np.ascontiguousarray(
-        x.reshape(b, c, h2, 2, w2, 2).transpose(0, 1, 2, 4, 3, 5)
-    ).reshape(b, c, h2, w2, 4)
-    idx = win.argmax(axis=-1)
-    out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
-    dwin = np.zeros_like(win)
-    np.put_along_axis(dwin, idx[..., None], g[..., None], axis=-1)
-    return out, dwin.reshape(b, c, h2, w2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(b, c, h, w)
 
 
 def maxpool_with_gradient(x, g):
@@ -349,24 +355,24 @@ class TestMaxpool2:
             out = ad.maxpool2(Tensor(x))
         assert tape._records == [] and out.tape is None and not out.tracked
 
-    def test_conv_output_is_freed_once_the_pool_returns(self, rng):
-        # the pool's record keeps masks, never its input, so the conv output
-        # dies with its tensor; gc stays off to show reference counting does it
-        k, b = tracked(rng.standard_normal((3, 1, 3, 3))), tracked(rng.standard_normal(3))
+    def test_input_is_freed_once_the_pool_returns(self, rng):
+        # the pool's record keeps masks, never its input, so an op output it
+        # pools dies with its tensor; gc stays off to show reference counting does it
+        x = tracked(rng.standard_normal((4, 3, 8, 8)))
         gc.collect()
         gc.disable()
         try:
             with Tape():
-                conv = ad.conv2d(Tensor(rng.uniform(size=(4, 1, 10, 10))), k, b)
-                conv_refs = weakref.ref(conv.data), weakref.ref(conv.data.base)
-                pooled = ad.maxpool2(conv)
-                del conv
-                assert [ref() for ref in conv_refs] == [None, None]
-                loss = ad.tensor_sum(ad.relu(pooled))
+                hidden = ad.relu(x)
+                hidden_refs = weakref.ref(hidden.data), weakref.ref(hidden.data.base)
+                pooled = ad.maxpool2(hidden)
+                del hidden
+                assert [ref() for ref in hidden_refs] == [None, None]
+                loss = ad.tensor_sum(pooled)
             grads = backward(loss)
         finally:
             gc.enable()
-        assert set(grads) == {k, b}
+        assert set(grads) == {x}
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_bruteforce_window_max(self, seed):
@@ -403,16 +409,8 @@ class TestMaxpool2:
         assert_gradients_close(grads[xt], numeric, rtol=1e-5)
 
 
-def maxpool2_of_conv2d(x, k, b):
-    return ad.maxpool2(ad.conv2d(x, k, b))
-
-
-def pooled_conv2d(x, k, b):
-    return ad.conv2d(x, k, b, pool=True)
-
-
 class TestPooledConv:
-    """``conv2d(pool=True)`` is ``maxpool2(conv2d(...))`` bit for bit: output, gradients and their layouts."""
+    """``conv2d`` at the model's shapes: the references' values, whatever the forward cut and the input layout."""
 
     # the model's shapes at batch 16, and rows of one image per forward part
     # (at 2 workers) that cut conv1's 24 or conv2's 8 output rows into runs
@@ -425,46 +423,60 @@ class TestPooledConv:
         ("conv2", "images"): (12, [2] * 4, [5, 5, 6]),
     }
 
+    def operands(self, shape, dtype):
+        """x, kernels, bias and an upstream gradient of one of the model's convs."""
+        gen = np.random.default_rng(21)
+        x_shape, k_shape = self.SHAPES[shape]
+        batch, cout, ho = x_shape[0], k_shape[0], x_shape[2] - k_shape[2] + 1
+        shapes = (x_shape, k_shape, (cout,), (batch, cout, ho // 2, ho // 2))
+        return [gen.standard_normal(s).astype(dtype) for s in shapes]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_matches_the_references(self, dtype, shape):
+        x, k, b, g = self.operands(shape, dtype)
+        xt, kt, bt = (Tensor(a, tracked=True) for a in (x, k, b))
+        with Tape():
+            out = ad.conv2d(xt, kt, bt)
+            loss = weighted_sum(out, g)
+        grads = backward(loss)
+        ref_out, vjp = pooled_conv_reference(x, k, b)
+        rtol = 1e-5 if dtype == np.float32 else 1e-12
+        assert_close_to(out.data, ref_out, rtol)
+        for leaf, reference in zip((xt, kt, bt), vjp(g)):
+            assert_close_to(grads[leaf], reference, rtol)
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("layout", ["contiguous", "batch-innermost"])
     @pytest.mark.parametrize("shape", sorted(SHAPES))
     @pytest.mark.parametrize("cut", ["whole", "rows", "images"])
-    def test_bit_equal_to_maxpool2_of_conv2d(self, monkeypatch, dtype, layout, shape, cut):
-        gen = np.random.default_rng(21)
-        x_shape, k_shape = self.SHAPES[shape]
-        batch, cout, ho = x_shape[0], k_shape[0], x_shape[2] - k_shape[2] + 1
-        x = LAYOUTS[layout](gen.standard_normal(x_shape).astype(dtype))
-        k, b = gen.standard_normal(k_shape).astype(dtype), gen.standard_normal(cout).astype(dtype)
-        g = gen.standard_normal((batch, cout, ho // 2, ho // 2)).astype(dtype)
-        whole = outputs_and_vjps(maxpool2_of_conv2d, (x, k, b), g)
+    def test_cuts_and_layouts_keep_every_byte(self, monkeypatch, dtype, layout, shape, cut):
+        x, k, b, g = self.operands(shape, dtype)
+        ho = x.shape[2] - k.shape[2] + 1
+        # the output, the conv output's gradient and the gradients of x, k and b
+        whole = outputs_and_vjps(ad.conv2d, (x, k, b), g)
         if cut != "whole":
             per_part, row_sizes, span_sizes = self.CUTS[shape, cut]
-            row_elements = (k[0].size + cout) * ho  # a patch and a conv buffer column per position
+            row_elements = (k[0].size + len(k)) * ho  # a patch and a conv buffer column per position
             monkeypatch.setattr(ad, "_WORKERS", 2)
             block = 2 * per_part * row_elements  # elements of dtype
             monkeypatch.setattr(ad, "_BLOCK_BYTES", block * np.dtype(dtype).itemsize)
-            parts = ad._forward_parts(ho, batch, row_elements, 2, block)
+            parts = ad._forward_parts(ho, len(x), row_elements, block)
             rows = dict.fromkeys((rs.start, rs.stop) for rs, _ in parts)
             spans = dict.fromkeys((images.start, images.stop) for _, images in parts)
             assert [stop - start for start, stop in rows] == row_sizes
             assert [stop - start for start, stop in spans] == span_sizes
-        # the output, the conv output's gradient and the gradients of x, k and b;
-        # the kernel gradient's GEMMs follow _BLOCK_BYTES: compare within one setting
-        pooled = outputs_and_vjps(pooled_conv2d, (x, k, b), g)
-        assert pooled == outputs_and_vjps(maxpool2_of_conv2d, (x, k, b), g)
-        assert pooled[0] == whole[0]  # the output does not depend on the cut
-
-    def test_odd_conv_output_rejected(self):
-        with pytest.raises(ShapeError, match="even"):
-            ad.conv2d(tracked(np.ones((1, 1, 7, 8))), tracked(np.ones((1, 1, 2, 2))), tracked(np.zeros(1)), pool=True)
-
-    def test_tape_free_call_records_nothing(self, rng):
-        args = [tracked(rng.standard_normal(s)) for s in ((2, 1, 6, 6), (3, 1, 3, 3), (3,))]
-        out = ad.conv2d(*args, pool=True)
-        assert out.tape is None and not out.tracked and out.shape == (2, 3, 2, 2)
-        with Tape() as tape:
-            out = ad.conv2d(*[Tensor(a.data) for a in args], pool=True)
-        assert tape._records == [] and out.tape is None and not out.tracked
+        cut_result = outputs_and_vjps(ad.conv2d, (LAYOUTS[layout](x), k, b), g)
+        # the kernel gradient's GEMMs follow _BLOCK_BYTES, which the cut sets;
+        # every other byte is the same
+        kernel_gradient = 3
+        assert cut_result[:kernel_gradient] + cut_result[kernel_gradient + 1 :] == (
+            whole[:kernel_gradient] + whole[kernel_gradient + 1 :]
+        )
+        if cut == "whole":
+            assert cut_result == whole
+        # the output, the conv output's gradient and the input gradient are batch-innermost
+        assert [strides[0] for _, strides in cut_result[:3]] == [np.dtype(dtype).itemsize] * 3
 
 
 class TestRelu:
@@ -664,9 +676,9 @@ class TestLayout:
         model = build_model(["tl", "br"], seed=3, dtype=dtype)
         images = np.random.default_rng(3).uniform(size=(5, 1, 28, 28)).astype(dtype)
         with Tape():
-            loss = ad.cross_entropy_mean(model.forward(images, "tl"), np.arange(5))
+            loss = ad.cross_entropy_mean(model.head_logits(model.features(images), "tl"), np.arange(5))
         backward(loss)
-        # a pooled conv and a relu twice each: four outputs (no tensor holds
+        # a conv and a relu twice each: four outputs (no tensor holds
         # a conv output). Relu, pool and conv records twice each: the six
         # gradients handed to them, and the six input gradients they and the
         # flatten hand back (conv1's input, the images, is not tracked)
@@ -748,7 +760,7 @@ class TestBackward:
         gc.disable()
         try:
             with Tape() as tape:
-                loss = ad.cross_entropy_mean(model.forward(images, "tl"), np.arange(4))
+                loss = ad.cross_entropy_mean(model.head_logits(model.features(images), "tl"), np.arange(4))
             grads = backward(loss)
             tape_ref = weakref.ref(tape)
             del tape, loss
@@ -761,7 +773,7 @@ class TestBackward:
     def test_forward_ops_stay_finite_on_finite_inputs(self, rng):
         x = Tensor(rng.standard_normal((2, 1, 8, 8)) * 50)
         k = Tensor(rng.standard_normal((3, 1, 3, 3)))
-        out = ad.relu(ad.maxpool2(ad.conv2d(x, k, Tensor(np.zeros(3)))))
+        out = ad.relu(ad.conv2d(x, k, Tensor(np.zeros(3))))
         assert np.all(np.isfinite(out.data))
         big = Tensor(rng.standard_normal((4, 10)) * 500)
         assert np.isfinite(ad.cross_entropy_mean(big, np.zeros(4, dtype=np.int64)).data)
@@ -770,9 +782,9 @@ class TestBackward:
 def outputs_and_vjps(op, arrays, g):
     """Bytes and strides of an op's output and of each operand's VJP applied to g, all operands tracked.
 
-    A VJP into a node of the same tape (an op output, such as a pooled
-    conv's conv output that no tensor holds) is followed into that node's
-    VJPs.
+    A VJP into a node of the same tape (an op output, such as the conv
+    output inside ``conv2d`` that no tensor holds) is followed into that
+    node's VJPs.
     """
     leaves = [Tensor(a, tracked=True) for a in arrays]
     with Tape() as tape:
@@ -791,10 +803,16 @@ def outputs_and_vjps(op, arrays, g):
 class TestWorkers:
     """Each encoder kernel split over worker threads computes every element as one thread does."""
 
+    @pytest.fixture(scope="class")
+    def one_worker(self):
+        """The 1-worker results of the last case run, by case: its worker counts run one after another."""
+        return {}
+
+    @pytest.mark.parametrize("workers", [2, 3, 4, 8])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
     @pytest.mark.parametrize("batch", [1, 2, 8, 16, 64, 144, 256, 400, 512])
-    def test_every_kernel_is_bit_equal_at_1_and_2_workers(self, monkeypatch, batch, layout, dtype):
+    def test_every_kernel_is_bit_equal_at_1_and_n_workers(self, monkeypatch, one_worker, batch, layout, dtype, workers):
         gen = np.random.default_rng(batch)
 
         def normal(*shape):
@@ -808,22 +826,24 @@ class TestWorkers:
 
         # the model's shapes
         cases = [
-            ("conv1", ad.conv2d, (activation(1, 28), normal(10, 1, 5, 5), normal(10)), upstream(10, 24)),
-            ("conv2", ad.conv2d, (activation(10, 12), normal(20, 10, 5, 5), normal(20)), upstream(20, 8)),
-            ("pooled conv1", pooled_conv2d, (activation(1, 28), normal(10, 1, 5, 5), normal(10)), upstream(10, 12)),
-            ("pooled conv2", pooled_conv2d, (activation(10, 12), normal(20, 10, 5, 5), normal(20)), upstream(20, 4)),
+            ("conv1", ad.conv2d, (activation(1, 28), normal(10, 1, 5, 5), normal(10)), upstream(10, 12)),
+            ("conv2", ad.conv2d, (activation(10, 12), normal(20, 10, 5, 5), normal(20)), upstream(20, 4)),
             ("pool1", ad.maxpool2, (activation(10, 24),), upstream(10, 12)),
             ("pool2", ad.maxpool2, (activation(20, 8),), upstream(20, 4)),
             ("relu1", ad.relu, (activation(10, 12),), upstream(10, 12)),
             ("relu2", ad.relu, (activation(20, 4),), upstream(20, 4)),
         ]
-        monkeypatch.setattr(ad, "_WORKERS", 1)
-        one = {name: outputs_and_vjps(op, arrays, g) for name, op, arrays, g in cases}
+        key = batch, layout, dtype
+        if key not in one_worker:
+            one_worker.clear()
+            with monkeypatch.context() as one:
+                one.setattr(ad, "_WORKERS", 1)
+                one_worker[key] = {name: outputs_and_vjps(op, arrays, g) for name, op, arrays, g in cases}
         # every gated kernel splits, whatever its size
-        monkeypatch.setattr(ad, "_WORKERS", 2)
+        monkeypatch.setattr(ad, "_WORKERS", workers)
         monkeypatch.setattr(ad, "_SPLIT_BYTES", 0)
-        two = {name: outputs_and_vjps(op, arrays, g) for name, op, arrays, g in cases}
-        assert [name for name in one if one[name] != two[name]] == []
+        split = {name: outputs_and_vjps(op, arrays, g) for name, op, arrays, g in cases}
+        assert [name for name in split if split[name] != one_worker[key][name]] == []
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_conv_peak_memory_at_2_workers(self, monkeypatch, traced_peak, dtype):
@@ -844,13 +864,9 @@ class TestWorkers:
             ad.maxpool2, (20, 8, 8), (), 20 * 8 * 8,
             {"maxpool2.<locals>.<lambda>", "_unpool.<locals>.scatter"},
         ),
-        "pooled conv scatter": (
-            pooled_conv2d, (10, 12, 12), CONV2, 20 * 8 * 8,
-            {"_unpool.<locals>.scatter"},
-        ),
-        "conv bias gradient": (
+        "conv pool scatter and bias gradient": (
             ad.conv2d, (10, 12, 12), CONV2, 20 * 8 * 8,
-            {"conv2d.<locals>.d_bias.<locals>.<lambda>"},
+            {"_unpool.<locals>.scatter", "conv2d.<locals>.d_bias.<locals>.<lambda>"},
         ),
         "conv backward": (
             ad.conv2d, (10, 12, 12), CONV2, 250 * 8 * 8,
@@ -884,6 +900,34 @@ class TestWorkers:
             loss = ad.tensor_sum(op(*operands))
         backward(loss)
         assert {site: max(parts[site]) for site in gated} == {site: 2 if above else 1 for site in gated}
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_the_conv_backward_cuts_the_same_channel_halves_at_any_worker_count(self, monkeypatch, workers):
+        # a GEMM's last bits depend on its row count, so the groups of input
+        # channels follow the work, not the workers
+        monkeypatch.setattr(ad, "_WORKERS", workers)
+        monkeypatch.setattr(ad, "_SPLIT_BYTES", 0)
+        cuts = {}  # input channel groups of each backward split, by the function it splits
+        real_split = ad._split
+
+        def recorded(fn, parts):
+            if fn.__qualname__.startswith(("conv2d.<locals>.d_kernels", "conv2d.<locals>.d_x")):
+                cuts.setdefault(fn.__qualname__, set()).add(tuple((cs.start, cs.stop) for cs in parts))
+            return real_split(fn, parts)
+
+        monkeypatch.setattr(ad, "_split", recorded)
+        gen = np.random.default_rng(29)
+        for x_shape, k_shape, halves in (((3, 1, 28, 28), (10, 1, 5, 5), ((0, 1),)),
+                                         ((3, 10, 12, 12), (20, 10, 5, 5), ((0, 5), (5, 10)))):
+            cuts.clear()
+            leaves = [Tensor(gen.standard_normal(s), tracked=True) for s in (x_shape, k_shape, k_shape[:1])]
+            with Tape():
+                loss = ad.tensor_sum(ad.conv2d(*leaves))
+            backward(loss)
+            assert cuts == {
+                "conv2d.<locals>.d_kernels.<locals>.channel_gradient": {halves},
+                "conv2d.<locals>.d_x.<locals>.scatter": {halves},
+            }
 
     @staticmethod
     def on_both_threads(worker_part):

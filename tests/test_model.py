@@ -21,6 +21,11 @@ from avil.model import (
 )
 from avil.weighting import evaluate
 from conftest import toy_set
+from reference import assert_close_to, pooled_conv_reference
+
+
+def logits_of(model, images, task):
+    return model.head_logits(model.features(images), task)
 
 
 class TestBuildModel:
@@ -50,7 +55,7 @@ class TestBuildModel:
 
     def test_zero_image_forward_is_finite(self):
         model = build_model(["tl", "br"], seed=0)
-        logits = model.forward(np.zeros((1, 1, 28, 28)), "tl")
+        logits = logits_of(model, np.zeros((1, 1, 28, 28)), "tl")
         assert logits.shape == (1, 10)
         assert np.all(np.isfinite(logits.data))
 
@@ -68,13 +73,13 @@ class TestBuildModel:
 class TestForward:
     def test_logit_shape(self, rng):
         model = build_model(["tl", "br"], seed=3)
-        out = model.forward(rng.uniform(size=(1, 1, 28, 28)), "br")
+        out = logits_of(model, rng.uniform(size=(1, 1, 28, 28)), "br")
         assert out.shape == (1, 10)
 
     def test_unknown_task_rejected(self):
         model = build_model(["tl"], seed=3)
         with pytest.raises(UnknownTaskError):
-            model.forward(np.zeros((1, 1, 28, 28)), "nope")
+            logits_of(model, np.zeros((1, 1, 28, 28)), "nope")
 
     def test_identical_head_weights_give_identical_logits(self, rng):
         model = build_model(["tl", "br"], seed=3)
@@ -82,14 +87,14 @@ class TestForward:
         for name in ("w", "b"):
             head_br[name].data[...] = head_tl[name].data
         x = rng.uniform(size=(2, 1, 28, 28))
-        np.testing.assert_array_equal(model.forward(x, "tl").data, model.forward(x, "br").data)
+        np.testing.assert_array_equal(logits_of(model, x, "tl").data, logits_of(model, x, "br").data)
 
     def test_other_heads_gradient_is_exactly_zero(self, rng):
         model = build_model(["tl", "br"], seed=3)
         x = rng.uniform(size=(4, 1, 28, 28))
         labels = np.array([1, 2, 3, 4])
         with ad.Tape():
-            grads = ad.backward(ad.cross_entropy_mean(model.forward(x, "tl"), labels))
+            grads = ad.backward(ad.cross_entropy_mean(logits_of(model, x, "tl"), labels))
         for name in ("w", "b"):
             assert model.head("br")[name] not in grads
         assert model.head("tl")["w"] in grads
@@ -100,6 +105,35 @@ class TestForward:
         assert np.all(br_block == 0.0)
         assert np.any(tl_block != 0.0)
         assert np.any(grad[:ENCODER_PARAMS] != 0.0)
+
+    def test_features_and_gradient_match_the_numpy_references(self, rng):
+        # each conv is naive_conv pooled by maxpool_reference; relu, the
+        # flatten, the linear layers and the cross-entropy are written out
+        model = build_model(["tl", "br"], seed=3)
+        images = rng.uniform(size=(3, 1, 28, 28))
+        labels = rng.integers(0, 10, size=3)
+        w1, b1, w2, b2, fw, fb, _, _, hw, hb = (p.data for p in model.parameters())  # heads "br", then "tl"
+        c1, conv1_vjp = pooled_conv_reference(images, w1, b1)
+        c2, conv2_vjp = pooled_conv_reference(np.maximum(c1, 0), w2, b2)
+        flat = np.maximum(c2, 0).reshape(3, 320)
+        fc = flat @ fw + fb
+        feats = np.maximum(fc, 0)
+        logits = feats @ hw + hb
+        softmax = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+        d_logits = (softmax - np.eye(10)[labels]) / 3
+        d_fc = d_logits @ hw.T * (fc > 0)
+        d_h1, dw2, db2 = conv2_vjp((d_fc @ fw.T).reshape(c2.shape) * (c2 > 0))
+        _, dw1, db1 = conv1_vjp(d_h1 * (c1 > 0))
+        reference = [dw1, db1, dw2, db2, flat.T @ d_fc, d_fc.sum(axis=0), feats.T @ d_logits, d_logits.sum(axis=0)]
+
+        assert_close_to(model.features(images).data, feats)
+        loss, _, grad = model.loss_grad(images, {"tl": labels}, {"tl": 1.0})
+        assert loss == pytest.approx(-np.log(softmax[np.arange(3), labels]).mean(), rel=1e-12)
+        sizes = [p.data.size for p in model.parameters()]
+        per_param = np.split(grad, np.cumsum(sizes)[:-1])
+        assert not per_param[6].any() and not per_param[7].any()  # the "br" head
+        for actual, expected in zip(per_param[:6] + per_param[8:], reference):
+            assert_close_to(actual, expected.reshape(-1))
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_peak_memory_of_a_tape_free_float64_batch_512_pass(self, monkeypatch, traced_peak, workers):
@@ -126,7 +160,7 @@ class TestLossGrad:
         images, labels = batch
         loss, raw, _ = model.loss_grad(images, labels, {"tl": 0.25, "br": 2.0})
         for task in ("tl", "br"):
-            assert raw[task] == float(ad.cross_entropy_mean(model.forward(images, task), labels[task]).data)
+            assert raw[task] == float(ad.cross_entropy_mean(logits_of(model, images, task), labels[task]).data)
         assert list(raw) == ["tl", "br"]  # the order of the weights
         assert loss == pytest.approx(0.25 * raw["tl"] + 2.0 * raw["br"], rel=1e-14)
 
@@ -187,7 +221,7 @@ class TestSnapshotRestore:
     def test_restore_zeros_makes_zero_logits(self, rng):
         model = build_model(["tl"], seed=9)
         model.restore(np.zeros(model.param_count))
-        out = model.forward(rng.uniform(size=(2, 1, 28, 28)), "tl")
+        out = logits_of(model, rng.uniform(size=(2, 1, 28, 28)), "tl")
         np.testing.assert_array_equal(out.data, np.zeros((2, 10)))
 
     def test_restore_resets_a_trained_model_exactly(self, rng):
@@ -294,7 +328,7 @@ class TestWorkerThreads:
 
         def recorded(name, fn):
             def wrapper(*args, **kwargs):
-                calls.append((name + ("(pool=True)" if kwargs.get("pool") else ""), threading.get_ident()))
+                calls.append((name, threading.get_ident()))
                 return fn(*args, **kwargs)
 
             return wrapper
@@ -313,8 +347,9 @@ class TestWorkerThreads:
         net.loss_grad(ds.gather(slice(None)), ds.labels, {"tl": 1.0, "br": 0.5})
         net.eval_features(ds, 32)
         called = {name for name, _ in calls}
-        # the encoder pools inside its convs: conv2d(pool=True), never maxpool2
-        assert {"ad.conv2d(pool=True)", "ad.relu", "ad.linear", "ad.cross_entropy_mean", "ad.backward"} <= called
+        # the encoder pools inside its convs, never with maxpool2
+        assert {"ad.conv2d", "ad.relu", "ad.linear", "ad.cross_entropy_mean", "ad.backward"} <= called
+        assert "ad.maxpool2" not in called
         assert {"model.loss_grad", "model.eval_features", "model.features", "model.head_logits"} <= called
         assert {thread for _, thread in calls} == {threading.get_ident()}
         assert max(splits) >= 2  # and the kernels did split

@@ -52,15 +52,26 @@ def test_rerun_writes_byte_identical_files(tmp_path, method):
     assert first == second
 
 
+@pytest.fixture(scope="module")
+def one_worker_runs():
+    """The files of each (method, dtype) run at 1 worker, made by the first worker count that needs them."""
+    return {}
+
+
+@pytest.mark.parametrize("workers", [2, 3, 4, 8])
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 @pytest.mark.parametrize("method", harness.METHODS)
-def test_every_output_byte_is_the_same_at_1_and_2_workers(tmp_path, monkeypatch, method, dtype):
+def test_every_output_byte_is_the_same_at_1_and_n_workers(
+    tmp_path, monkeypatch, one_worker_runs, method, dtype, workers
+):
     config = replace(TINY, method=method, dtype=dtype)
-    monkeypatch.setattr(autodiff, "_WORKERS", 1)
-    one = run_files(replace(config, out_dir=str(tmp_path / "one")))
-    monkeypatch.setattr(autodiff, "_WORKERS", 2)
+    if (method, dtype) not in one_worker_runs:
+        with monkeypatch.context() as one:
+            one.setattr(autodiff, "_WORKERS", 1)
+            one_worker_runs[method, dtype] = run_files(replace(config, out_dir=str(tmp_path / "one")))
+    monkeypatch.setattr(autodiff, "_WORKERS", workers)
     monkeypatch.setattr(autodiff, "_SPLIT_BYTES", 0)  # every gated kernel splits
-    assert run_files(replace(config, out_dir=str(tmp_path / "two"))) == one
+    assert run_files(replace(config, out_dir=str(tmp_path / "split"))) == one_worker_runs[method, dtype]
 
 
 @pytest.mark.parametrize(

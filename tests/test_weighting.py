@@ -28,9 +28,9 @@ CFG64 = ExperimentConfig(epochs=1, batch_size=16, eval_batch_size=64, dtype="flo
 
 def plain_loss_grad(model, images, labels, task):
     """One head's cross-entropy and flat gradient, written out by hand: an
-    explicit tape, ``model.forward`` and ``backward``, and no ``scale`` node."""
+    explicit tape, the model's features and head, ``backward``, and no ``scale`` node."""
     with ad.Tape():
-        ce = ad.cross_entropy_mean(model.forward(images, task), labels)
+        ce = ad.cross_entropy_mean(model.head_logits(model.features(images), task), labels)
     grads = ad.backward(ce)
     parts = [grads.get(p, np.zeros(p.shape, model.dtype)).reshape(-1) for p in model.parameters()]
     return float(ce.data), np.concatenate(parts)
