@@ -54,10 +54,10 @@ flight together about ``_BLOCK_BYTES`` = 8 MiB of patches and of
 part-sized conv outputs; its backward works in blocks of output rows of
 about ``_BLOCK_BYTES`` of patches and at least one row. So peak memory
 falls by more than half. Parts and blocks also stay under the 32 MiB mmap
-threshold that ``harness`` fixes for a run (glibc's own ceiling otherwise):
-every request above it is served from freshly mapped, zero-filled pages,
-which cost more than the GEMM they feed (a float64 batch-512 model forward
-took 55-68 ms with whole patch matrices and 27-34 ms in blocks, 2 cores).
+threshold ``_HEAP_MMAP_THRESHOLD`` (see below): every request above it is
+served from freshly mapped, zero-filled pages, which cost more than the
+GEMM they feed (a float64 batch-512 model forward took 55-68 ms with
+whole patch matrices and 27-34 ms in blocks, 2 cores).
 The budget is in bytes, the unit of what it bounds, so a float64 part or
 block holds half the elements of a float32 one. A tape keeps only the
 input: the kernel gradient rebuilds each block's patches and sums the
@@ -109,18 +109,52 @@ there. ``conv2d``'s forward has no gate: its parts hold about
 ``_BLOCK_BYTES / _WORKERS`` bytes of patches and conv buffer each, so at
 two workers it cuts only a conv of more than 4 MiB of them.
 Each part runs under the caller's floating-point error state, and an
-exception in any part is raised to the caller. The kernels pay off with
-BLAS on one thread, which ``harness`` sets for a run (see there).
+exception in any part is raised to the caller.
 
-Before its threads start, ``_executor`` keeps glibc to one heap arena
-with ``mallopt``, so the executor threads allocate from the heap the
-calling thread frees into: a thread with an arena of its own allocates
-memory the calling thread cannot reuse (without it the ``diw-eval``
-benchmark's peak resident memory rose from 119.9 to 134.2 MiB). The
-threads start in the first split, which may come before ``harness`` runs
-an experiment: the benchmark and ``avil generate`` build the synthetic
-pool first. The setting acts only on this process, changes no computed
-value, and is skipped where the C library has no ``mallopt``.
+Three process settings serve the kernels, and ``_configure_process``
+applies them once per process, first thing in ``_split`` and in
+``linear``: before any worker thread starts and before the first GEMM,
+whoever calls. A run, the synthetic pool that ``avil generate`` and the
+benchmark build first, a test and a direct call of a model function all
+get the same bytes at the same speed. Nothing is applied at import, so
+importing avil leaves the process as it was, and nothing is undone. Each
+setting acts only on this process and is skipped where the C library has
+no ``mallopt`` or numpy carries no OpenBLAS.
+
+- glibc keeps one heap arena (``mallopt``), so the executor threads
+  allocate from the heap the calling thread frees into: a thread with an
+  arena of its own allocates memory the calling thread cannot reuse
+  (without it the ``diw-eval`` benchmark's peak resident memory rose from
+  119.9 to 134.2 MiB).
+- glibc's two heap thresholds are fixed: up to ``_HEAP_TRIM_THRESHOLD`` =
+  256 MiB of freed heap memory is kept, and requests under
+  ``_HEAP_MMAP_THRESHOLD`` = 32 MiB are served from the heap. Each pass
+  then reuses the memory the previous pass freed, which the default
+  policy hands back to the kernel for the next pass to fault in again.
+  Setting either threshold turns off glibc's dynamic mmap threshold, so
+  both are set. Neither heap setting changes a computed value.
+- numpy's bundled OpenBLAS runs on one thread, so the kernels' workers,
+  not BLAS, use the cores. The pin is never switched back: OpenBLAS's own
+  threads keep spinning on the other cores after each call, and switching
+  to one thread only around the split kernels was slower than not
+  splitting (two float64 batch-512 forwards after two-thread passes took
+  127 against 102 ms). In a fresh process on 2 cores, a float32 batch-400
+  ``loss_grad`` took 31-33 ms without the pin and 23-25 ms with it, and a
+  float64 batch-512 ``features`` 27-29 against 16-17 ms.
+
+The pin changes some results on a machine with more than one core, where
+OpenBLAS would run on every core: on two threads it sums some GEMMs in
+another order. Over every batch size from 1 to 512 (seed-1 model), the
+gradient of a batch of 133 or more images whose size is not a multiple of
+8 mostly differed in its last bits between one and two BLAS threads, in
+both dtypes, and so did that of some multiples of 8 from 392 up (float64;
+from 456 up in float32); tape-free features never did. Pinned before the
+first GEMM, a gradient has the same bits whether or not a run came before
+it in the process (the tests hash one before and after a run), and no
+result depends on the machine's core count: the kernels' splits keep
+every byte, and the tests compare whole runs at 2, 3, 4 and 8 workers
+with 1. The benchmark's workloads (batches and chunks of 144, 208, 256
+and 400 images) keep every byte.
 """
 
 from __future__ import annotations
@@ -129,6 +163,7 @@ import ctypes
 import functools
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
+from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -277,26 +312,50 @@ def _cpu_count():
 # Threads that share each encoder kernel: the calling thread and _WORKERS - 1
 # executor threads.
 _WORKERS = _cpu_count()
-# glibc's mallopt parameter number (malloc.h)
+# glibc's mallopt parameter numbers (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
 _M_ARENA_MAX = -8
+# Free heap memory kept before any is returned: well above what one pass frees.
+_HEAP_TRIM_THRESHOLD = 256 << 20
+# Requests this large are mapped fresh: glibc's own dynamic ceiling on 64-bit,
+# above every temporary made here. A forward pass holds no whole conv output;
+# the largest temporary is the gradient of one, conv1's in a float64
+# batch-512 backward (23.6 MB), then an 8 MiB block of conv patches in either
+# dtype (``_BLOCK_BYTES``).
+_HEAP_MMAP_THRESHOLD = 32 << 20
+
+
+@functools.cache  # once per process, never undone: see the module docstring
+def _configure_process():
+    """One heap arena and fixed heap thresholds for glibc, one thread for numpy's bundled OpenBLAS.
+
+    Each is a silent no-op where the C library has no ``mallopt``, or numpy
+    carries no OpenBLAS or it has no ``scipy_openblas_set_num_threads64_``.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # no C library to open, or no mallopt in it
+        pass
+    else:
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        mallopt.restype = ctypes.c_int
+        mallopt(_M_ARENA_MAX, 1)
+        mallopt(_M_TRIM_THRESHOLD, _HEAP_TRIM_THRESHOLD)
+        mallopt(_M_MMAP_THRESHOLD, _HEAP_MMAP_THRESHOLD)
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    try:
+        set_num_threads = ctypes.CDLL(str(next(libs.glob("libscipy_openblas*")))).scipy_openblas_set_num_threads64_
+    except (StopIteration, OSError, AttributeError):  # no bundled OpenBLAS, or no such symbol in it
+        return
+    set_num_threads.argtypes = (ctypes.c_int,)
+    set_num_threads.restype = None
+    set_num_threads(1)
 
 
 @functools.cache  # one executor per worker count, its threads started by the first splits
 def _executor(workers):
-    _mallopt((_M_ARENA_MAX, 1))  # before the threads start: see the module docstring
     return ThreadPoolExecutor(workers - 1, thread_name_prefix="avil-kernel")
-
-
-def _mallopt(*settings):
-    """Set each (parameter, value) pair with glibc's ``mallopt``; a silent no-op where the C library has none."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, TypeError, AttributeError):  # no C library to open, or no mallopt in it
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    for parameter, value in settings:
-        mallopt(parameter, value)
 
 
 def _split(fn, parts):
@@ -311,6 +370,7 @@ def _split(fn, parts):
     A part must not call ``_split``: run on an executor thread, the inner
     split would wait for parts queued behind the part that waits.
     """
+    _configure_process()
     helpers = min(_WORKERS, len(parts)) - 1
     if helpers < 1:
         return [fn(part) for part in parts]
@@ -378,6 +438,7 @@ def linear(x, weight, bias):
     The input gradient has x's memory order: C-order for a C-contiguous x,
     else F-order, the order of a flattened batch-innermost activation.
     """
+    _configure_process()
     if x.data.ndim != 2 or weight.data.ndim != 2:
         raise ShapeError(f"linear expects 2-d operands, got {x.shape} and {weight.shape}")
     if x.shape[1] != weight.shape[0]:
@@ -399,8 +460,7 @@ def linear(x, weight, bias):
 
 # Bytes of patches in one row block of conv2d, in either dtype (2**21
 # float32 or 2**20 float64 elements), bounding peak memory and staying under
-# the 32 MiB mmap threshold (fixed in harness) above which glibc maps every
-# request fresh.
+# _HEAP_MMAP_THRESHOLD, above which glibc maps every request fresh.
 _BLOCK_BYTES = 8 << 20
 
 
@@ -458,8 +518,8 @@ def conv2d(x, kernels, bias):
     about ``_BLOCK_BYTES / _WORKERS`` bytes of patches and conv buffer, so no
     temporary grows with k*k times the input: peak memory stays near that of
     the input, output and gradients, and no part reaches the 32 MiB mmap
-    threshold (see ``harness``) above which glibc maps and zero-fills fresh
-    pages on every request.
+    threshold (``_HEAP_MMAP_THRESHOLD``) above which glibc maps and
+    zero-fills fresh pages on every request.
 
     A tape keeps only the input. The kernel gradient rebuilds the patches
     of blocks of ``_BLOCK_BYTES`` and sums the per-block GEMMs, block by

@@ -20,47 +20,19 @@ is built. ``run_experiment`` calls ``weighting.<method>_train(train_set,
 dev_set, config, seed)`` for each seed, and the trainers read their
 settings from the config by attribute.
 
-``run_experiment`` first fixes the C library's two heap thresholds with
-glibc's ``mallopt`` (``_keep_heap_resident``): up to 256 MiB of freed heap
-memory is kept, and requests under 32 MiB are served from the heap. Each
-pass of an epoch then reuses the memory the previous pass freed, which the
-default policy hands back to the kernel for the next pass to fault in
-again. (``autodiff`` keeps glibc to one arena for its worker threads;
-see there.) The settings act only on this process, change no computed
-value, and are skipped where the C library has no ``mallopt``.
-
-It then runs numpy's bundled OpenBLAS on one thread for the rest of the
-process (``_one_blas_thread``), so the kernels' workers, not BLAS, use the
-cores. The pin is never switched back: OpenBLAS's own threads keep
-spinning on the other cores after each call, and switching to one thread
-only around the split kernels was slower than not splitting (two float64
-batch-512 forwards after two-thread passes took 127 against 102 ms). It is
-skipped where numpy carries no such library. The pin changes some
-results on a machine with more than one core, where OpenBLAS ran on every
-core before: on two threads it sums some GEMMs in another order. Over
-every batch size from 1 to 512 (seed-1 model), the gradient of a batch of
-133 or more images whose size is not a multiple of 8 mostly differed in
-its last bits between one and two BLAS threads, in both dtypes, and so did
-that of some multiples of 8 from 392 up (float64; from 456 up in float32);
-tape-free features never did. A run with such a training batch or
-dev-gradient chunk therefore writes other results than before. In return,
-no result depends on the machine's core count any more: the kernels' splits
-keep every byte (see ``autodiff``), and the tests compare whole runs at 2,
-3, 4 and 8 workers with 1. The benchmark's workloads (batches and chunks of 144, 208, 256 and 400 images) keep every
-byte.
+How the process uses the machine (one heap arena, heap thresholds such as
+``autodiff._HEAP_TRIM_THRESHOLD``, OpenBLAS on one thread) is set by
+``autodiff`` before its first kernel, for a run as for any other caller.
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import re
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import autodiff
 from . import data as datamod
 from . import weighting
 from .errors import ConfigError
@@ -403,47 +375,6 @@ def write_aggregate_csv(path, summary_rows):
 # ---------------------------------------------------------------------------
 # experiment driver
 
-# glibc's mallopt parameter numbers (malloc.h)
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-# Free heap memory kept before any is returned: well above what one pass frees.
-_HEAP_TRIM_THRESHOLD = 256 << 20
-# Requests this large are mapped fresh: glibc's own dynamic ceiling on 64-bit,
-# above every temporary made here. A forward pass holds no whole conv output;
-# the largest temporary is the gradient of one, conv1's in a float64
-# batch-512 backward (23.6 MB), then an 8 MiB block of conv patches in either
-# dtype (``autodiff._BLOCK_BYTES``).
-_HEAP_MMAP_THRESHOLD = 32 << 20
-
-
-@functools.cache  # once per process: each ctypes library handle is a reference cycle
-def _keep_heap_resident():
-    """Fix both heap thresholds, so memory freed by one pass serves the next.
-
-    Setting either threshold turns off glibc's dynamic mmap threshold, so
-    both are set. A silent no-op where the C library has no ``mallopt``.
-    """
-    autodiff._mallopt((_M_TRIM_THRESHOLD, _HEAP_TRIM_THRESHOLD), (_M_MMAP_THRESHOLD, _HEAP_MMAP_THRESHOLD))
-
-
-@functools.cache  # once per process, never switched back: see the module docstring
-def _one_blas_thread():
-    """Run numpy's bundled OpenBLAS on one thread; the kernels' workers use the cores.
-
-    A silent no-op where numpy carries no such library or the library has
-    no ``scipy_openblas_set_num_threads64_``.
-    """
-    libs = Path(np.__file__).parent.parent / "numpy.libs"
-    try:
-        lib = ctypes.CDLL(str(next(libs.glob("libscipy_openblas*"))))
-        set_num_threads = lib.scipy_openblas_set_num_threads64_
-    except (StopIteration, OSError, AttributeError):  # no bundled OpenBLAS, or no such symbol in it
-        return
-    set_num_threads.argtypes = (ctypes.c_int,)
-    set_num_threads.restype = None
-    set_num_threads(1)
-
-
 def run_experiment(config, pools=None):
     """Run the configured method over all seeds; returns the run directory.
 
@@ -453,8 +384,6 @@ def run_experiment(config, pools=None):
     loss turns NaN is recorded as failed for every task the method reports
     (all tasks for multitask, else the target) and excluded from aggregates.
     """
-    _keep_heap_resident()
-    _one_blas_thread()
     run_dir = Path(config.out_dir) / config.run_name()
     run_dir.mkdir(parents=True, exist_ok=True)  # an unusable out_dir fails before the data is built
     with replace_atomically(run_dir / "config.txt") as fh:

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import avil
 from avil import autodiff as ad
 from avil.data import MultiMnistSet
 from avil.model import MultiHeadModel
@@ -52,3 +57,13 @@ def toy_set(n, seed, tasks=("tl", "br"), split="train", label_map=None):
         else:
             labels[task] = gen.integers(0, 10, size=n)
     return MultiMnistSet.whole(images, labels=labels, split=split)
+
+
+def run_python(code, cwd):
+    """Standard output of ``code`` run by a fresh interpreter that imports avil from these sources."""
+    sources = str(Path(avil.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [sources, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code], cwd=cwd, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    ).stdout

@@ -1,10 +1,8 @@
 import gzip
 import hashlib
 import json
-import os
 import re
 import struct
-import subprocess
 import sys
 import time
 from pathlib import Path
@@ -13,7 +11,6 @@ import numpy as np
 import pytest
 from scipy import ndimage  # the oracle the synthetic digits mirror; avil itself never imports scipy
 
-import avil
 from avil import autodiff
 from avil import data as datamod
 from avil.data import (
@@ -30,6 +27,7 @@ from avil.data import (
     split_dev,
     synthetic_mnist,
 )
+from conftest import run_python
 
 MNIST_DIR = Path("data")
 HAVE_OFFICIAL = (MNIST_DIR / "train-images-idx3-ubyte").exists() or (
@@ -558,13 +556,7 @@ def test_building_synthetic_pools_imports_no_scipy(tmp_path):
         "from avil import autodiff",
         "print(json.dumps([autodiff._WORKERS, [t.name for t in threading.enumerate() if t is not threading.main_thread()]]))",
     ])
-    sources = str(Path(avil.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [sources, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-c", code], cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
-        capture_output=True, text=True, check=True,
-    )
-    modules, threads = result.stdout.splitlines()
+    modules, threads = run_python(code, tmp_path).splitlines()
     assert modules == "[]"
     # the kernels' executor is the only pool: at most _WORKERS - 1 threads, started by the first split
     workers, names = json.loads(threads)

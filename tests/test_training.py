@@ -1,6 +1,7 @@
 """Whole-system tests: complete training runs on a tiny synthetic
 configuration, and the command line's handling of bad configuration."""
 
+import ctypes
 import inspect
 import platform
 import resource
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from avil import autodiff, cli, data, files, harness, model, optim, weighting
-from conftest import toy_set
+from conftest import run_python, toy_set
 from test_data import write_idx_pair
 
 # Small enough for the unit suite, large enough that the model moves off
@@ -648,7 +649,7 @@ def test_a_rho_that_samples_nothing_is_a_cli_error(tmp_path, capsys, method):
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's heap thresholds")
 def test_a_repeated_pass_refaults_no_heap_memory():
-    harness._keep_heap_resident()
+    autodiff._configure_process()
     net = model.build_model(["tl", "br"], seed=1, dtype=np.float32)
     loss_grad = weighting.dev_loss_grad(net, toy_set(400, seed=3), "tl", batch_size=400)
     theta = net.snapshot()
@@ -667,6 +668,11 @@ def no_c_library(name):
     raise OSError("cannot open the C library")
 
 
+def opening(c_library, other):
+    """A ``ctypes.CDLL`` that opens the C library (name None) with ``c_library`` and any other with ``other``."""
+    return lambda name: (c_library if name is None else other)(name)
+
+
 def test_a_repeated_pass_at_2_workers_refaults_no_heap_memory(monkeypatch):
     monkeypatch.setattr(autodiff, "_WORKERS", 2)
     test_a_repeated_pass_refaults_no_heap_memory()
@@ -674,34 +680,58 @@ def test_a_repeated_pass_at_2_workers_refaults_no_heap_memory(monkeypatch):
 
 @pytest.mark.parametrize("lookup", [no_mallopt, no_c_library])
 def test_keeping_the_heap_resident_is_a_silent_no_op_without_mallopt(monkeypatch, lookup):
-    monkeypatch.setattr(harness.ctypes, "CDLL", lookup)
-    harness._keep_heap_resident.__wrapped__()
+    monkeypatch.setattr(ctypes, "CDLL", opening(lookup, ctypes.CDLL))
+    autodiff._configure_process.__wrapped__()
 
 
-def openblas():
-    """numpy's bundled OpenBLAS, or None."""
-    found = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"))
-    return harness.ctypes.CDLL(str(found[0])) if found else None
+# the path of numpy's bundled OpenBLAS, or None
+OPENBLAS = next(iter(sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"))), None)
 
 
-@pytest.mark.skipif(openblas() is None, reason="numpy carries no bundled OpenBLAS")
-def test_blas_runs_on_one_thread_after_a_run_starts(tmp_path):
-    harness.run_experiment(replace(TINY, method="singletask", epochs=0, out_dir=str(tmp_path)))
-    threads = openblas().scipy_openblas_get_num_threads64_
-    threads.restype = harness.ctypes.c_int
-    assert threads() == 1
+@pytest.mark.skipif(OPENBLAS is None, reason="numpy carries no bundled OpenBLAS")
+def test_blas_runs_on_one_thread_after_the_first_kernel(tmp_path):
+    # only what `avil generate` runs: the synthetic pool goes through the kernels' split
+    threads = run_python("\n".join([
+        "import ctypes",
+        "from avil import harness",
+        "harness.load_pools(harness.ExperimentConfig(data_source='synthetic', synthetic_n=40, synthetic_test_n=10))",
+        f"threads = ctypes.CDLL({str(OPENBLAS)!r}).scipy_openblas_get_num_threads64_",
+        "threads.restype = ctypes.c_int",
+        "print(threads())",
+    ]), tmp_path)
+    assert int(threads) == 1
+
+
+def test_a_gradient_keeps_its_bits_across_a_run(tmp_path):
+    # on two BLAS threads this float64 batch-150 gradient has other last bits than on one
+    keys = {**TINY_KEYS, "seeds": "1", "train.epochs": "1", "out.dir": str(tmp_path / "runs")}
+    text = "".join(f"{key}={value}\n" for key, value in keys.items())
+    first, second = run_python("\n".join([
+        "import hashlib",
+        "import numpy as np",
+        "from avil import harness, model",
+        "net = model.build_model(['tl', 'br'], seed=1, dtype=np.float64)",
+        "gen = np.random.default_rng(3)",
+        "images, labels = gen.uniform(size=(150, 1, 28, 28)).astype(np.float32), gen.integers(0, 10, size=150)",
+        "def digest():",
+        "    print(hashlib.sha256(net.loss_grad(images, {'tl': labels}, {'tl': 1.0})[2].tobytes()).hexdigest())",
+        "digest()",
+        f"harness.run_experiment(harness.parse_config_text({text!r}))",
+        "digest()",
+    ]), tmp_path).split()
+    assert first == second
 
 
 @pytest.mark.parametrize("lookup", [no_mallopt, no_c_library])
 def test_pinning_blas_to_one_thread_is_a_silent_no_op_without_the_library(monkeypatch, lookup):
-    monkeypatch.setattr(harness.ctypes, "CDLL", lookup)
-    harness._one_blas_thread.__wrapped__()
+    monkeypatch.setattr(ctypes, "CDLL", opening(ctypes.CDLL, lookup))
+    autodiff._configure_process.__wrapped__()
 
 
 def test_pinning_blas_to_one_thread_is_a_silent_no_op_when_numpy_carries_no_library(monkeypatch, tmp_path):
-    monkeypatch.setattr(harness.np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
-    monkeypatch.setattr(harness.ctypes, "CDLL", lambda name: pytest.fail(f"opened {name}"))
-    harness._one_blas_thread.__wrapped__()
+    monkeypatch.setattr(autodiff.np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+    monkeypatch.setattr(ctypes, "CDLL", opening(ctypes.CDLL, lambda name: pytest.fail(f"opened {name}")))
+    autodiff._configure_process.__wrapped__()
 
 
 def test_idx_source_with_wrong_image_counts_is_an_error(tmp_path):
