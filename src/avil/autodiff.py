@@ -7,9 +7,10 @@ produced (model parameters, tracked inputs), as a ``{leaf: gradient}``
 dict. It stores nothing on any tensor, so no gradient outlives the call
 that asked for it and there is nothing to clear. The op set is deliberately
 small: exactly what a LeNet-style convolutional classifier with per-task
-linear heads needs, plus a few helpers (reshape, add, scale, tensor_sum)
-used to compose losses. No broadcasting beyond bias addition and scalar
-scaling.
+linear heads needs, plus ``reshape`` for the flatten and ``add`` and
+``scale`` to compose the weighted task loss. ``tensor_sum`` is in no avil
+loss: only the benchmark's per-op probe and the tests call it. No
+broadcasting beyond bias addition and scalar scaling.
 
 A record names an operand produced on the same tape by its node index and
 holds only leaves as tensors; backward rules capture arrays, shapes and

@@ -309,8 +309,10 @@ def _fmt(value, spec):
     return "" if value is None else format(value, spec)
 
 
-def _row_csv(values):
-    return ",".join(values) + "\n"
+def _write_csv(path, rows):
+    """Write ``rows``, the header first, each a sequence of cell strings, as one CSV file."""
+    with replace_atomically(path) as fh:
+        fh.writelines(",".join(row) + "\n" for row in rows)
 
 
 def write_seed_csv(path, result):
@@ -322,31 +324,30 @@ def write_seed_csv(path, result):
     header += ["target_dev_loss"]
     header += [f"alpha_{t}" for t in tasks]
     header += [f"weight_{t}" for t in tasks]
-    with replace_atomically(path) as fh:
-        fh.write(_row_csv(header))
-        for row in result.rows:
-            cells = [str(row.epoch)]
-            cells += [_fmt(row.train_loss.get(t), _LOSS) for t in tasks]
-            cells += [_fmt(100.0 * row.dev_acc[t] if t in row.dev_acc else None, _ACC) for t in tasks]
-            cells += [_fmt(row.target_dev_loss, _LOSS)]
-            cells += [_fmt(row.alphas.get(t) if row.alphas else None, _GEN) for t in tasks]
-            cells += [_fmt(row.weights.get(t) if row.weights else None, _GEN) for t in tasks]
-            fh.write(_row_csv(cells))
+    rows = [header]
+    for row in result.rows:
+        cells = [str(row.epoch)]
+        cells += [_fmt(row.train_loss.get(t), _LOSS) for t in tasks]
+        cells += [_fmt(100.0 * row.dev_acc[t] if t in row.dev_acc else None, _ACC) for t in tasks]
+        cells += [_fmt(row.target_dev_loss, _LOSS)]
+        cells += [_fmt(row.alphas.get(t) if row.alphas else None, _GEN) for t in tasks]
+        cells += [_fmt(row.weights.get(t) if row.weights else None, _GEN) for t in tasks]
+        rows.append(cells)
+    _write_csv(path, rows)
 
 
 def write_summary_csv(path, rows):
-    header = ["seed", "task", "status", "best_epoch", "dev_acc", "test_acc"]
-    with replace_atomically(path) as fh:
-        fh.write(_row_csv(header))
-        for row in rows:
-            fh.write(_row_csv([
-                str(row["seed"]),
-                row["task"],
-                row["status"],
-                "" if row.get("best_epoch") is None else str(row["best_epoch"]),
-                _fmt(row.get("dev_acc"), _ACC),
-                _fmt(row.get("test_acc"), _ACC),
-            ]))
+    _write_csv(path, [("seed", "task", "status", "best_epoch", "dev_acc", "test_acc")] + [
+        (
+            str(row["seed"]),
+            row["task"],
+            row["status"],
+            "" if row.get("best_epoch") is None else str(row["best_epoch"]),
+            _fmt(row.get("dev_acc"), _ACC),
+            _fmt(row.get("test_acc"), _ACC),
+        )
+        for row in rows
+    ])
 
 
 _AGGREGATE_COLUMNS = ("task", "split", "n_seeds", "n_failed", "min", "max", "mean", "std_pop")
@@ -354,22 +355,21 @@ _AGGREGATE_COLUMNS = ("task", "split", "n_seeds", "n_failed", "min", "max", "mea
 
 def write_aggregate_csv(path, summary_rows):
     """Aggregates over successful seeds; failures are counted, not imputed."""
-    tasks = sorted({row["task"] for row in summary_rows})
-    with replace_atomically(path) as fh:
-        fh.write(_row_csv(_AGGREGATE_COLUMNS))
-        for task in tasks:
-            ok = [r for r in summary_rows if r["task"] == task and r["status"] == "ok"]
-            failed = [r for r in summary_rows if r["task"] == task and r["status"] != "ok"]
-            for split, key in (("dev", "dev_acc"), ("test", "test_acc")):
-                if not ok:
-                    fh.write(_row_csv([task, split, "0", str(len(failed)), "", "", "", ""]))
-                    continue
-                agg = aggregate_values([r[key] for r in ok])
-                fh.write(_row_csv([
-                    task, split, str(len(ok)), str(len(failed)),
-                    _fmt(agg["min"], _ACC), _fmt(agg["max"], _ACC),
-                    _fmt(agg["mean"], _ACC), _fmt(agg["std"], _ACC),
-                ]))
+    rows = [_AGGREGATE_COLUMNS]
+    for task in sorted({row["task"] for row in summary_rows}):
+        ok = [r for r in summary_rows if r["task"] == task and r["status"] == "ok"]
+        failed = [r for r in summary_rows if r["task"] == task and r["status"] != "ok"]
+        for split, key in (("dev", "dev_acc"), ("test", "test_acc")):
+            if not ok:
+                rows.append([task, split, "0", str(len(failed)), "", "", "", ""])
+                continue
+            agg = aggregate_values([r[key] for r in ok])
+            rows.append([
+                task, split, str(len(ok)), str(len(failed)),
+                _fmt(agg["min"], _ACC), _fmt(agg["max"], _ACC),
+                _fmt(agg["mean"], _ACC), _fmt(agg["std"], _ACC),
+            ])
+    _write_csv(path, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +460,8 @@ def report(run_dir):
 
     Returns the table text. Run subdirectories without a summary are listed
     as incomplete; a missing directory, one without runs, or a malformed
-    ``aggregate.csv`` or ``seed*.csv`` is a ConfigError.
+    ``aggregate.csv``, ``summary.csv`` or ``seed*.csv`` is a ConfigError.
+    ``alpha_long.csv`` holds only the seeds that ``summary.csv`` lists as ``ok``.
     """
     run_dir = Path(run_dir)
     if not run_dir.is_dir():
@@ -471,14 +472,14 @@ def report(run_dir):
     if not complete:
         raise ConfigError(f"no runs found under {run_dir}")
     lines = []
-    comparison_rows = []
+    comparison_rows = [["run", *_AGGREGATE_COLUMNS]]
     header = f"{'run':<18} {'task':<6} {'split':<5} {'min':>8} {'max':>8} {'mean':>8} {'std':>7}"
     lines.append(header)
     lines.append("-" * len(header))
     for path in complete:
         aggregate = path / "aggregate.csv"
         for lineno, row in enumerate(_read_csv(aggregate, _AGGREGATE_COLUMNS), 2):
-            comparison_rows.append({"run": path.name, **row})
+            comparison_rows.append([path.name, *(row[c] for c in _AGGREGATE_COLUMNS)])
             if row["mean"]:
                 low, high, mean, std = (_number(aggregate, lineno, row, c) for c in ("min", "max", "mean", "std_pop"))
                 lines.append(
@@ -489,22 +490,20 @@ def report(run_dir):
                 lines.append(f"{path.name:<18} {row['task']:<6} {row['split']:<5} (all seeds failed)")
     if incomplete:
         lines.append("incomplete runs: " + ", ".join(incomplete))
-    with replace_atomically(run_dir / "comparison.csv") as fh:
-        fh.write(_row_csv(["run", *_AGGREGATE_COLUMNS]))
-        for row in comparison_rows:
-            fh.write(_row_csv([row["run"], *(row[c] for c in _AGGREGATE_COLUMNS)]))
+    _write_csv(run_dir / "comparison.csv", comparison_rows)
     for path in complete:
         if not path.name.startswith("avil"):
             continue
-        with replace_atomically(path / "alpha_long.csv") as fh:
-            fh.write(_row_csv(["seed", "epoch", "task", "alpha", "weight"]))
-            for seed_csv in sorted(path.glob("seed*.csv")):
-                seed = seed_csv.stem.removeprefix("seed")
-                for row in _read_csv(seed_csv, ("epoch",)):
-                    for key, value in row.items():
-                        if key.startswith("alpha_") and value:
-                            task = key.removeprefix("alpha_")
-                            if f"weight_{task}" not in row:
-                                raise ConfigError(f"{seed_csv}: missing column(s) weight_{task}")
-                            fh.write(_row_csv([seed, row["epoch"], task, value, row[f"weight_{task}"]]))
+        summary = _read_csv(path / "summary.csv", ("seed", "status"))
+        alpha_rows = [["seed", "epoch", "task", "alpha", "weight"]]
+        for seed_csv in sorted({path / f"seed{row['seed']}.csv" for row in summary if row["status"] == "ok"}):
+            seed = seed_csv.stem.removeprefix("seed")
+            for row in _read_csv(seed_csv, ("epoch",)):
+                for key, value in row.items():
+                    if key.startswith("alpha_") and value:
+                        task = key.removeprefix("alpha_")
+                        if f"weight_{task}" not in row:
+                            raise ConfigError(f"{seed_csv}: missing column(s) weight_{task}")
+                        alpha_rows.append([seed, row["epoch"], task, value, row[f"weight_{task}"]])
+        _write_csv(path / "alpha_long.csv", alpha_rows)
     return "\n".join(lines)

@@ -22,10 +22,12 @@ step that proposes the next epoch's base parameters. Every trainer is
 ``<method>_train(train_set, dev_set, cfg, seed)``: the tasks are
 ``sorted(train_set.labels)``, the target is ``cfg.target``, and every other
 setting is an attribute of the run's ``harness.ExperimentConfig``
-(``effective_epochs``, ``batch_size``, ``learning_rate`` and so on). The
-building blocks below the trainers take each setting as an argument with
-no default. This module imports no configuration type, and the config
-validates the values.
+(``effective_epochs``, ``batch_size``, ``learning_rate`` and so on).
+Of the building blocks below the trainers, ``_epoch_pass`` reads
+``learning_rate`` and ``momentum`` from the ``cfg`` it is given, and
+``collect_delta`` reads ``batch_size`` and passes ``cfg`` on; the others
+take each setting as an argument with no default. This module imports no
+configuration type, and the config validates the values.
 
 Every dev score is one ``evaluate`` call. ``_run`` encodes the dev set
 once per set of parameters it scores and passes the features to every

@@ -281,6 +281,9 @@ def test_csv_writer_that_raises_mid_file_keeps_the_previous_file(tmp_path):
     with pytest.raises(KeyError):
         harness.write_summary_csv(path, [row, {"seed": 2}])  # the second row lacks its task
     assert path.read_bytes() == before
+    with pytest.raises(TypeError):
+        harness.write_summary_csv(path, [row, {**row, "task": None}])  # fails once the first row is written
+    assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["summary.csv"]
 
 
@@ -324,7 +327,7 @@ def write_report_inputs(tmp_path):
     "broken, text",
     [
         ("aggregate.csv", "task,split,mean\ntl,test,\n"),  # fails before comparison.csv: missing columns
-        ("seed1.csv", "epoch,alpha_tl\n1,0.5\n"),  # alpha_long.csv fails after its header: no weight column
+        ("seed1.csv", "epoch,alpha_tl\n1,0.5\n"),  # alpha_long.csv fails after comparison.csv: no weight column
     ],
 )
 def test_a_report_that_raises_mid_file_keeps_the_previous_files(tmp_path, broken, text):
@@ -337,6 +340,18 @@ def test_a_report_that_raises_mid_file_keeps_the_previous_files(tmp_path, broken
         harness.report(tmp_path)
     assert [p.read_bytes() for p in written] == before
     assert list(tmp_path.rglob("*.tmp")) == []
+
+
+def test_a_report_after_a_rerun_holds_only_the_rerun_seeds(tmp_path):
+    config = replace(TINY, method="avil", epochs=1)
+    harness.run_experiment(replace(config, out_dir=str(tmp_path / "rerun")))
+    rerun = harness.run_experiment(replace(config, seeds=(1,), out_dir=str(tmp_path / "rerun")))
+    clean = harness.run_experiment(replace(config, seeds=(1,), out_dir=str(tmp_path / "clean")))
+    for run in (rerun, clean):
+        harness.report(run.parent)
+    assert (rerun / "seed2.csv").exists()  # left by the first run
+    assert {row["seed"] for row in read_csv(rerun / "alpha_long.csv")} == {"1"}
+    assert (rerun / "alpha_long.csv").read_bytes() == (clean / "alpha_long.csv").read_bytes()
 
 
 def write_config(tmp_path, extra=""):
@@ -700,6 +715,16 @@ def test_blas_runs_on_one_thread_after_the_first_kernel(tmp_path):
         "print(threads())",
     ]), tmp_path)
     assert int(threads) == 1
+
+
+def test_importing_avil_loads_no_module_and_no_numpy(tmp_path):
+    # callers import avil's modules by name; the package itself imports nothing
+    loaded = run_python("\n".join([
+        "import sys",
+        "import avil",
+        "print(sorted(name for name in sys.modules if name.startswith(('avil.', 'numpy'))))",
+    ]), tmp_path)
+    assert loaded.strip() == "[]"
 
 
 def test_a_gradient_keeps_its_bits_across_a_run(tmp_path):
