@@ -278,22 +278,19 @@ def sample_fraction(dataset, rho, seed, epoch, key=""):
     """floor(rho*n) indices without replacement, keyed by (seed, epoch, key).
 
     Each epoch (and each key, typically a task id) draws a fresh subset;
-    rho=1 yields the full index range in shuffled order. A rho that would
-    draw no index at all is a ConfigError.
+    rho=1 yields the full index range in shuffled order. ``rho`` is in
+    (0, 1], as the run's config checks; one that would draw no index at
+    all from this set is a ConfigError.
     """
-    if not 0.0 < rho <= 1.0:
-        raise ConfigError(f"rho must be in (0, 1], got {rho}")
     n = len(dataset)
     k = int(np.floor(rho * n))
-    if k == 0:
+    if k < 1:
         raise ConfigError(f"rho {rho} samples no example out of {n}")
     return _rng(seed, "sample", epoch, key).permutation(n)[:k]
 
 
 def batches(dataset, batch_size, seed, epoch):
     """Index arrays for one shuffled pass; all full-size except possibly the last."""
-    if batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     perm = _rng(seed, "batches", epoch).permutation(len(dataset))
     return chunk_indices(perm, batch_size)
 
@@ -435,8 +432,6 @@ def synthetic_mnist(n, seed):
     ``map_coordinates`` bit for bit, image by image, tested against it, so
     no output depends on the chunk size or the worker count.
     """
-    if n < 0:
-        raise ConfigError(f"cannot make {n} synthetic digits")
     rng = _rng(seed, "synthetic")
     labels = rng.integers(0, 10, size=n)
     images = np.empty((n, 28, 28), dtype=np.float32)

@@ -16,9 +16,12 @@ and checkpoints (tests/test_training.py).
 config-file key and parser next to its default (``_setting``), and
 ``parse_config_text`` reads the keys from the fields. Its
 ``__post_init__`` checks every value, so a bad value fails before any data
-is built. ``run_experiment`` calls ``weighting.<method>_train(train_set,
-dev_set, config, seed)`` for each seed, and the trainers read their
-settings from the config by attribute.
+is built. It is the one place a setting's range is checked: no function
+below it in ``weighting``, ``optim`` or ``data`` checks it again. What is
+left there checks a setting against the data (``data.split_dev``'s
+``dev_size``, ``data.sample_fraction``'s empty draw). ``run_experiment`` calls
+``weighting.<method>_train(train_set, dev_set, config, seed)`` for each
+seed, and the trainers read their settings from the config by attribute.
 
 How the process uses the machine (one heap arena, heap thresholds such as
 ``autodiff._HEAP_TRIM_THRESHOLD``, OpenBLAS on one thread) is set by
@@ -381,8 +384,9 @@ def run_experiment(config, pools=None):
     Per seed: a dev split and optional desk subset are drawn, the method is
     trained, the best snapshot per reported task is evaluated exactly once
     on the test set, and per-epoch rows are written to CSV. A seed whose
-    loss turns NaN is recorded as failed for every task the method reports
-    (all tasks for multitask, else the target) and excluded from aggregates.
+    training, tuning or dev loss is not finite (``weighting.NanLossError``)
+    is recorded as failed for every task the method reports (all tasks for
+    multitask, else the target) and excluded from aggregates.
     """
     run_dir = Path(config.out_dir) / config.run_name()
     run_dir.mkdir(parents=True, exist_ok=True)  # an unusable out_dir fails before the data is built

@@ -57,10 +57,6 @@ CHECKPOINT_MAGIC = b"AVIL"
 CHECKPOINT_VERSION = 1
 
 
-class UnknownTaskError(KeyError):
-    """Task id not registered with the model."""
-
-
 def _fan_in(shape):
     if len(shape) == 4:  # conv kernels: cin * k * k
         return shape[1] * shape[2] * shape[3]
@@ -118,10 +114,7 @@ class MultiHeadModel:
         return self._flat.size
 
     def head(self, task):
-        try:
-            return self._heads[task]
-        except KeyError:
-            raise UnknownTaskError(f"unknown task {task!r}; registered: {self.task_ids}") from None
+        return self._heads[task]
 
     def features(self, images):
         """Shared 50-wide encoding of a [batch, 1, 28, 28] input.
@@ -197,14 +190,8 @@ def build_model(task_ids, seed, dtype=np.float64):
 
 def combine(base, deltas, alphas):
     """base + sum_i alphas[i] * deltas[i], elementwise on flat vectors."""
-    base = np.asarray(base)
-    if len(deltas) != len(alphas):
-        raise ConfigError(f"{len(deltas)} deltas vs {len(alphas)} alphas")
     out = base.copy()
-    for delta, alpha in zip(deltas, alphas):
-        delta = np.asarray(delta)
-        if delta.shape != base.shape:
-            raise ConfigError(f"delta length {delta.size} does not match base {base.size}")
+    for delta, alpha in zip(deltas, alphas, strict=True):
         out += float(alpha) * delta
     return out
 

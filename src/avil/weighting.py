@@ -27,7 +27,7 @@ Of the building blocks below the trainers, ``_epoch_pass`` reads
 ``learning_rate`` and ``momentum`` from the ``cfg`` it is given, and
 ``collect_delta`` reads ``batch_size`` and passes ``cfg`` on; the others
 take each setting as an argument with no default. This module imports no
-configuration type, and the config validates the values.
+configuration type, and checks no setting: the config has checked them.
 
 Every dev score is one ``evaluate`` call. ``_run`` encodes the dev set
 once per set of parameters it scores and passes the features to every
@@ -58,7 +58,7 @@ from .model import build_model, combine
 
 
 class NanLossError(RuntimeError):
-    """A training or tuning loss became NaN/Inf; the run for this seed is invalid."""
+    """A training, tuning or dev loss became NaN/Inf; the run for this seed is invalid."""
 
 
 @dataclass
@@ -152,8 +152,6 @@ def collect_delta(model, base, task, w_norm, order, dataset, cfg):
     The loss is scaled by the normalized task weight; the returned mean loss
     is the unscaled cross-entropy, for reporting.
     """
-    if len(order) == 0:
-        raise ConfigError("collect_delta requires non-empty epoch data")
     disp, raw = _epoch_pass(model, base, chunk_indices(order, cfg.batch_size), dataset, {task: w_norm}, cfg)
     model.restore(base)
     return disp, raw[task]
@@ -171,8 +169,6 @@ def dev_loss_grad(model, dev_set, task, batch_size):
     ``model.loss_grad`` call at weight 1.0, which is the plain cross-entropy.
     """
     n = len(dev_set)
-    if n == 0:
-        raise ConfigError("development set is empty")
     labels = dev_set.labels[task]
     chunks = chunk_indices(np.arange(n), batch_size)
 
@@ -206,8 +202,6 @@ def alpha_gradient(loss_grad, base, deltas, alphas):
 
 def tune_alphas(loss_grad, base, deltas, steps, learning_rate, momentum):
     """Mixing coefficients after ``steps`` meta-SGD steps from all-ones."""
-    if steps < 1:
-        raise ConfigError(f"steps must be >= 1, got {steps}")
     alphas = np.ones(len(deltas), dtype=np.float64)
     state = optim.SgdState(learning_rate, momentum, len(deltas))
     for _ in range(steps):
@@ -236,7 +230,8 @@ def _run(model, dev_set, target, cfg, step):
     After each step every task is evaluated at the new base. Best snapshots
     track ``target``, or every task when ``target`` is None; only a run
     with a target records its dev loss. A ``target`` that is not one of
-    the model's tasks is a ConfigError.
+    the model's tasks is a ConfigError. A dev loss that is not finite, at
+    epoch 0 or after any step, raises NanLossError.
     """
     tasks = model.task_ids
     if target is not None and target not in tasks:
@@ -247,7 +242,11 @@ def _run(model, dev_set, target, cfg, step):
         """{task: (accuracy, loss)} at the model's parameters, from one dev encoder pass."""
         if features is None:
             features = model.eval_features(dev_set, cfg.eval_batch_size)
-        return {task: evaluate(model, dev_set, task, cfg.eval_batch_size, features=features) for task in scored}
+        scores = {task: evaluate(model, dev_set, task, cfg.eval_batch_size, features=features) for task in scored}
+        for task, (_, loss) in scores.items():
+            if not np.isfinite(loss):
+                raise NanLossError(f"non-finite dev loss {loss} of task {task}")
+        return scores
 
     base = model.snapshot()
     best = {}

@@ -343,7 +343,7 @@ class TestSampling:
 
     def test_bad_rho_rejected(self, rng):
         ds = _toy(10, rng)
-        for rho in (0.0, -0.5, 1.5):
+        for rho in (0.0, -0.5):
             with pytest.raises(ConfigError):
                 sample_fraction(ds, rho, seed=0, epoch=0)
 

@@ -3,6 +3,9 @@ import re
 from pathlib import Path
 
 import avil
+from avil import harness
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # a double-backticked private constant, bare (its own module's) or module-qualified
 CONSTANT = re.compile(r"``(?:(\w+)\.)?(_[A-Z][A-Z0-9_]*)\b")
@@ -31,3 +34,9 @@ def test_docstrings_name_only_constants_that_exist():
         if not hasattr(importlib.import_module(module), name)
     ]
     assert missing == []
+
+
+def test_the_readme_example_config_parses():
+    (block,) = re.findall(r"^```ini\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S)
+    config = harness.parse_config_text(block)
+    assert (config.method, config.target, config.seeds, config.effective_epochs) == ("avil", "tl", (1, 2), 5)

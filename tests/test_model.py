@@ -13,7 +13,6 @@ from avil.model import (
     HEAD_PARAMS,
     ConfigError,
     MultiHeadModel,
-    UnknownTaskError,
     build_model,
     combine,
     load_checkpoint,
@@ -78,7 +77,7 @@ class TestForward:
 
     def test_unknown_task_rejected(self):
         model = build_model(["tl"], seed=3)
-        with pytest.raises(UnknownTaskError):
+        with pytest.raises(KeyError):
             logits_of(model, np.zeros((1, 1, 28, 28)), "nope")
 
     def test_identical_head_weights_give_identical_logits(self, rng):
@@ -374,9 +373,9 @@ class TestCombine:
         np.testing.assert_array_equal(out, [2.0, 1.0])
 
     def test_length_mismatch_rejected(self, rng):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             combine(np.zeros(3), [np.zeros(4)], [1.0])
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             combine(np.zeros(3), [np.zeros(3)], [1.0, 2.0])
 
     def test_linear_in_alphas(self, rng):

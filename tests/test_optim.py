@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from avil.optim import ConfigError, SgdState, clamp_weights, sgd_step
+from avil.optim import SgdState, clamp_weights, sgd_step
 
 
 class TestSgdStep:
@@ -42,17 +42,8 @@ class TestSgdStep:
         np.testing.assert_array_equal(s1.velocity, s2.velocity)
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             sgd_step(SgdState(0.1, 0.0, 3), np.zeros(3), np.zeros(4))
-
-    def test_bad_hyperparameters_rejected(self):
-        with pytest.raises(ConfigError):
-            SgdState(0.0, 0.5, 2)
-        with pytest.raises(ConfigError):
-            SgdState(0.1, 1.0, 2)
-        for rate in (np.nan, np.inf):
-            with pytest.raises(ConfigError, match="positive and finite"):
-                SgdState(rate, 0.5, 2)
 
 
 class TestClampWeights:

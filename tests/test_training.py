@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from avil import autodiff, cli, data, files, harness, model, optim, weighting
+from avil import autodiff, cli, data, files, harness, model, weighting
 from conftest import run_python, toy_set
 from test_data import write_idx_pair
 
@@ -243,16 +243,33 @@ def test_a_failed_multitask_seed_counts_against_every_task(tmp_path, monkeypatch
     assert counts == [(task, split, "1", "1") for task in ("br", "tl") for split in ("dev", "test")]
 
 
-def test_nan_dev_loss_fails_the_seed_at_the_tuning_step(tmp_path, monkeypatch):
-    # one epoch: the NaN can only surface while tuning, not in a later
-    # epoch's training loss
+@pytest.mark.parametrize("method", harness.METHODS)
+def test_a_nan_dev_loss_fails_the_seed(tmp_path, monkeypatch, method):
     poison_seed_2(monkeypatch, "dev")
-    config = replace(TINY, method="avil", epochs=1, out_dir=str(tmp_path))
-    run_dir = harness.run_experiment(config)
-    summary = {row["seed"]: row for row in read_csv(run_dir / "summary.csv")}
-    assert summary["1"]["status"] == "ok"
-    assert summary["2"]["status"].startswith("failed:") and "non-finite" in summary["2"]["status"]
+    run_dir = harness.run_experiment(replace(TINY, method=method, out_dir=str(tmp_path)))
+    rows = read_csv(run_dir / "summary.csv")
+    assert {row["status"] for row in rows if row["seed"] == "1"} == {"ok"}
+    failed = [row["status"] for row in rows if row["seed"] == "2"]
+    # the dev set is first scored at epoch 0, before any training or tuning
+    first = "br" if method == "multitask" else "tl"
+    assert failed and all(status == f"failed:non-finite dev loss nan of task {first}" for status in failed)
     assert not (run_dir / "seed2.csv").exists()
+
+
+def test_nan_alphas_fail_the_seed_at_the_write_back(tmp_path, monkeypatch):
+    # one epoch: no later training loss sees the written-back parameters
+    monkeypatch.setattr(weighting, "tune_alphas", lambda loss_grad, base, deltas, **_: np.full(len(deltas), np.nan))
+    run_dir = harness.run_experiment(replace(TINY, method="avil", epochs=1, out_dir=str(tmp_path)))
+    statuses = [row["status"] for row in read_csv(run_dir / "summary.csv")]
+    assert statuses == ["failed:non-finite dev loss nan of task br"] * 2  # every task is scored, in order
+    assert sorted(p.name for p in run_dir.iterdir()) == ["aggregate.csv", "config.txt", "summary.csv"]
+
+
+def test_a_seed_with_a_nan_dev_loss_is_left_out_of_the_aggregates(tmp_path, monkeypatch):
+    poison_seed_2(monkeypatch, "dev")
+    run_dir = harness.run_experiment(replace(TINY, method="avil", epochs=1, out_dir=str(tmp_path)))
+    summary = {row["seed"]: row for row in read_csv(run_dir / "summary.csv")}
+    assert [summary[seed]["status"] == "ok" for seed in ("1", "2")] == [True, False]
     for row in read_csv(run_dir / "aggregate.csv"):
         assert (row["task"], row["n_seeds"], row["n_failed"]) == ("tl", "1", "1")
         key = f"{row['split']}_acc"
@@ -388,7 +405,7 @@ def config_error(tmp_path, capsys, extra):
 
 
 def test_one_config_error_type():
-    assert data.ConfigError is model.ConfigError is optim.ConfigError is weighting.ConfigError
+    assert data.ConfigError is model.ConfigError is weighting.ConfigError
     assert harness.ConfigError is data.ConfigError
 
 
@@ -441,12 +458,16 @@ def test_unknown_target_is_rejected_before_data_is_built(tmp_path, capsys, monke
         ("train.dtype=foo", "dtype must be 'float32' or 'float64', got 'foo'"),
         ("train.dtype=int64", "got 'int64'"),
         ("train.momentum=1", "momentum must be in [0, 1), got 1.0"),
+        ("train.momentum=-0.1", "momentum must be in [0, 1), got -0.1"),
         ("avil.meta_momentum=-0.5", "meta_momentum must be in [0, 1), got -0.5"),
         ("train.epochs=-1", "epochs must be >= 0, got -1"),
         ("train.batch_size=0", "batch_size must be >= 1, got 0"),
+        ("train.batch_size=-3", "batch_size must be >= 1, got -3"),
         ("avil.s=0", "tune_steps must be >= 1, got 0"),
+        ("avil.s=-1", "tune_steps must be >= 1, got -1"),
         ("eval.batch_size=0", "eval_batch_size must be >= 1, got 0"),
         ("train.lr=0", "learning_rate must be positive, got 0.0"),
+        ("train.lr=-0.1", "learning_rate must be positive, got -0.1"),
         ("avil.meta_lr=0", "meta_learning_rate must be positive, got 0.0"),
         ("clamp.floor=0", "clamp_floor must be positive, got 0.0"),
         ("diw.eta_w=0", "diw_eta must be positive, got 0.0"),
@@ -455,6 +476,7 @@ def test_unknown_target_is_rejected_before_data_is_built(tmp_path, capsys, monke
         ("train.subset=0", "train_subset must be >= 1, got 0"),
         ("train.subset=-3", "train_subset must be >= 1, got -3"),
         ("train.rho=0", "rho must be in (0, 1], got 0.0"),
+        ("train.rho=1.5", "rho must be in (0, 1], got 1.5"),
         ("seeds=-1", "seeds must be >= 0, got -1"),
         ("data.dev_size=0", "dev_size must be >= 1, got 0"),
         ("data.synthetic_n=0", "synthetic_n must be >= 1, got 0"),
