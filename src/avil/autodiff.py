@@ -170,10 +170,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 
-class ShapeError(ValueError):
-    """Operand shapes are incompatible for the requested operation."""
-
-
 class Tensor:
     """N-dimensional real array, optionally tracked for differentiation.
 
@@ -441,11 +437,11 @@ def linear(x, weight, bias):
     """
     _configure_process()
     if x.data.ndim != 2 or weight.data.ndim != 2:
-        raise ShapeError(f"linear expects 2-d operands, got {x.shape} and {weight.shape}")
+        raise ValueError(f"linear expects 2-d operands, got {x.shape} and {weight.shape}")
     if x.shape[1] != weight.shape[0]:
-        raise ShapeError(f"linear inner dimensions disagree: x {x.shape} vs weight {weight.shape}")
+        raise ValueError(f"linear inner dimensions disagree: x {x.shape} vs weight {weight.shape}")
     if bias.shape != (weight.shape[1],):
-        raise ShapeError(f"linear bias shape {bias.shape} does not match weight {weight.shape}")
+        raise ValueError(f"linear bias shape {bias.shape} does not match weight {weight.shape}")
     out = x.data @ weight.data + bias.data
     xd, wd = x.data, weight.data
     d_x = (lambda g: g @ wd.T) if xd.flags.c_contiguous else (lambda g: (wd @ g.T).T)
@@ -531,18 +527,18 @@ def conv2d(x, kernels, bias):
     gradient it hands that node.
     """
     if x.data.ndim != 4 or kernels.data.ndim != 4:
-        raise ShapeError(f"conv2d expects 4-d operands, got {x.shape} and {kernels.shape}")
+        raise ValueError(f"conv2d expects 4-d operands, got {x.shape} and {kernels.shape}")
     b, cin, h, w = x.shape
     cout, cin_k, k, k2 = kernels.shape
     if k != k2 or cin != cin_k:
-        raise ShapeError(f"conv2d kernels {kernels.shape} do not match input {x.shape}")
+        raise ValueError(f"conv2d kernels {kernels.shape} do not match input {x.shape}")
     if h < k or w < k:
-        raise ShapeError(f"conv2d kernel {kernels.shape} larger than input {x.shape}")
+        raise ValueError(f"conv2d kernel {kernels.shape} larger than input {x.shape}")
     if bias.shape != (cout,):
-        raise ShapeError(f"conv2d bias shape {bias.shape} does not match kernels {kernels.shape}")
+        raise ValueError(f"conv2d bias shape {bias.shape} does not match kernels {kernels.shape}")
     ho, wo = h - k + 1, w - k + 1
     if ho % 2 or wo % 2:
-        raise ShapeError(f"conv2d requires an even conv output to pool, got {ho}x{wo} from input {x.shape}")
+        raise ValueError(f"conv2d requires an even conv output to pool, got {ho}x{wo} from input {x.shape}")
     xt = np.ascontiguousarray(x.data.transpose(1, 2, 3, 0), dtype=np.result_type(kernels.data, x.data))
     win = sliding_window_view(xt, (k, k), axis=(1, 2))  # cin, ho, wo, b, k, k
     kmat = kernels.data.reshape(cout, -1)
@@ -686,10 +682,10 @@ def maxpool2(x):
     only the benchmark's per-op probe and the tests call this op.
     """
     if x.data.ndim != 4:
-        raise ShapeError(f"maxpool2 expects a 4-d input, got {x.shape}")
+        raise ValueError(f"maxpool2 expects a 4-d input, got {x.shape}")
     b, c, h, w = x.shape
     if h % 2 or w % 2:
-        raise ShapeError(f"maxpool2 requires even spatial dims, got {x.shape}")
+        raise ValueError(f"maxpool2 requires even spatial dims, got {x.shape}")
     xd, strides, dtype = x.data, x.data.strides, x.dtype
     taped = x.tracked and active_tape() is not None
     out = _empty_in_layout((b, c, h // 2, w // 2), strides, dtype)
@@ -735,7 +731,7 @@ def relu(x):
 def cross_entropy_mean(logits, labels):
     """Mean over the batch of -log softmax(logits)[label], max-stabilized."""
     if logits.data.ndim != 2:
-        raise ShapeError(f"cross_entropy_mean expects 2-d logits, got {logits.shape}")
+        raise ValueError(f"cross_entropy_mean expects 2-d logits, got {logits.shape}")
     labels = np.asarray(labels)
     n, k = logits.shape
     if labels.shape != (n,):
@@ -765,7 +761,7 @@ def reshape(x, shape):
 def add(a, b):
     """Elementwise sum of two same-shape tensors."""
     if a.shape != b.shape:
-        raise ShapeError(f"add requires matching shapes, got {a.shape} and {b.shape}")
+        raise ValueError(f"add requires matching shapes, got {a.shape} and {b.shape}")
     return _make(a.data + b.data, ((a, lambda g: g), (b, lambda g: g)))
 
 

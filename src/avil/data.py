@@ -324,19 +324,21 @@ def save_cache(dataset, path):
 def load_cache(path, split):
     """Read a ``save_cache`` file.
 
-    A bad magic, a short file, or a pixel that is not a number in [0, 1]
-    (NaN included) is a ConfigError; the last names the first bad image.
-    The pixels are read straight into the set's array, once the file is
-    known to hold them all.
+    A bad magic, a short file, a file of zero examples, or a pixel that
+    is not a number in [0, 1] (NaN included) is a ConfigError; the last
+    names the first bad image. The pixels are read straight into the
+    set's array, once the file is known to hold them all.
     """
     with open(path, "rb") as fh:
         magic = read_exact(fh, 4, path)
         if magic != CACHE_MAGIC:
             raise ConfigError(f"{path}: bad cache magic {magic!r} at offset 0")
         (n,) = struct.unpack("<Q", read_exact(fh, 8, path))
+        if n == 0:
+            raise ConfigError(f"{path}: holds no examples")
         images = read_array(fh, (n, 1, 28, 28), "<f4", path)
         # min and max propagate NaN, so one reduction each checks every pixel
-        if n and not (images.min() >= 0.0 and images.max() <= 1.0):
+        if not (images.min() >= 0.0 and images.max() <= 1.0):
             flat = images.reshape(n, -1)
             first = int(np.argmax(~((flat >= 0.0) & (flat <= 1.0)).all(axis=1)))
             value = next(v for v in flat[first] if not 0.0 <= v <= 1.0)

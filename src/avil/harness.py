@@ -107,6 +107,8 @@ class ExperimentConfig:
             raise ConfigError(f"seeds must be distinct, got {','.join(str(s) for s in self.seeds)}")
         if min(self.seeds) < 0:
             raise ConfigError(f"seeds must be >= 0, got {min(self.seeds)}")
+        if max(self.seeds) >= 2**32:  # data._rng keeps a seed's low 32 bits: larger ones alias smaller ones
+            raise ConfigError(f"seeds must be < {2**32}, got {max(self.seeds)}")
         # the trainer values, checked before any data is built
         if self.effective_epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.effective_epochs}")
@@ -143,10 +145,6 @@ class ExperimentConfig:
         if self.train_subset is not None:
             return self.train_subset
         return DESK_TRAIN_SUBSET if self.scale == "desk" else None
-
-    @property
-    def np_dtype(self):
-        return np.dtype(self.dtype)
 
     def run_name(self):
         if self.method in ("singletask", "avil", "diw"):
@@ -286,21 +284,6 @@ def seed_datasets(config, train_pool, seed):
 
 
 # ---------------------------------------------------------------------------
-# metrics
-
-
-def aggregate_values(values):
-    """min/max/mean/population-std of a sequence of floats."""
-    arr = np.asarray(list(values), dtype=np.float64)
-    return {
-        "min": float(arr.min()),
-        "max": float(arr.max()),
-        "mean": float(arr.mean()),
-        "std": float(arr.std(ddof=0)),
-    }
-
-
-# ---------------------------------------------------------------------------
 # CSV writing
 
 _ACC = ".6f"
@@ -366,12 +349,9 @@ def write_aggregate_csv(path, summary_rows):
             if not ok:
                 rows.append([task, split, "0", str(len(failed)), "", "", "", ""])
                 continue
-            agg = aggregate_values([r[key] for r in ok])
-            rows.append([
-                task, split, str(len(ok)), str(len(failed)),
-                _fmt(agg["min"], _ACC), _fmt(agg["max"], _ACC),
-                _fmt(agg["mean"], _ACC), _fmt(agg["std"], _ACC),
-            ])
+            values = np.array([r[key] for r in ok], dtype=np.float64)
+            stats = (values.min(), values.max(), values.mean(), values.std(ddof=0))
+            rows.append([task, split, str(len(ok)), str(len(failed)), *(_fmt(v, _ACC) for v in stats)])
     _write_csv(path, rows)
 
 
@@ -406,7 +386,7 @@ def run_experiment(config, pools=None):
             summary_rows += [{"seed": seed, "task": task, "status": f"failed:{exc}"} for task in reported]
             continue
         write_seed_csv(run_dir / f"seed{seed}.csv", result)
-        eval_model = build_model(result.task_ids, seed, dtype=config.np_dtype)
+        eval_model = build_model(result.task_ids, seed, dtype=config.dtype)
         feats_epoch = None
         for task, best in sorted(result.best.items()):
             eval_model.restore(best.params)

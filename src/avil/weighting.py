@@ -105,8 +105,6 @@ def evaluate(model, dataset, task, batch_size, features=None):
     the dataset is encoded here. The head always runs.
     """
     n = len(dataset)
-    if n == 0:
-        raise ConfigError("cannot evaluate on an empty dataset")
     labels = dataset.labels[task]
     correct = 0
     loss_sum = 0.0
@@ -268,7 +266,7 @@ def _run(model, dev_set, target, cfg, step):
 def singletask_train(train_set, dev_set, cfg, seed):
     """Plain mini-batch SGD on the target task, one ``collect_delta`` pass per epoch; one head."""
     task = cfg.target
-    model = build_model([task], seed, dtype=cfg.np_dtype)
+    model = build_model([task], seed, dtype=cfg.dtype)
 
     def step(epoch, base, best):
         order = sample_fraction(train_set, cfg.rho, seed, epoch, key=task)
@@ -286,7 +284,7 @@ def multitask_train(train_set, dev_set, cfg, seed):
     tasks = sorted(train_set.labels)
     if len(tasks) < 2:
         raise ConfigError("multitask training requires at least two tasks")
-    model = build_model(tasks, seed, dtype=cfg.np_dtype)
+    model = build_model(tasks, seed, dtype=cfg.dtype)
     uniform = {task: 1.0 / len(tasks) for task in tasks}
 
     def step(epoch, base, best):
@@ -300,7 +298,7 @@ def multitask_train(train_set, dev_set, cfg, seed):
 def avil_train(train_set, dev_set, cfg, seed):
     """Delta-collection + alpha-tuning training loop optimizing the target task."""
     tasks, target = sorted(train_set.labels), cfg.target
-    model = build_model(tasks, seed, dtype=cfg.np_dtype)
+    model = build_model(tasks, seed, dtype=cfg.dtype)
     weights = np.ones(len(tasks), dtype=np.float64)
 
     def step(epoch, base, best):
@@ -339,7 +337,7 @@ def diw_train(train_set, dev_set, cfg, seed):
     attempt (on a tie, the earlier one) and hands back its dev features.
     """
     tasks, target = sorted(train_set.labels), cfg.target
-    model = build_model(tasks, seed, dtype=cfg.np_dtype)
+    model = build_model(tasks, seed, dtype=cfg.dtype)
     weights = np.ones(len(tasks), dtype=np.float64)
 
     def step(epoch, base, best):

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import os
+import re
 import sys
 import threading
 import time
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from avil import autodiff as ad
-from avil.autodiff import ShapeError, Tape, Tensor, backward
+from avil.autodiff import Tape, Tensor, backward
 from avil.model import build_model
 from gradcheck import assert_gradients_close, numeric_gradient
 from reference import assert_close_to, maxpool_reference, naive_conv, naive_conv_vjp, pooled_conv_reference
@@ -51,7 +52,7 @@ class TestLinear:
         np.testing.assert_array_equal(out.data, [[3.0, 4.0]])
 
     def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(1, 3\).*\(2, 2\)"):
+        with pytest.raises(ValueError, match=r"\(1, 3\).*\(2, 2\)"):
             ad.linear(tracked(np.ones((1, 3))), tracked(np.ones((2, 2))), tracked(np.ones(2)))
 
     @pytest.mark.parametrize("seed", range(10))
@@ -116,11 +117,11 @@ class TestConv2d:
         np.testing.assert_array_equal(out.data[0, 0], x[0, 0, 1:5, 1:5].reshape(2, 2, 2, 2).max(axis=(1, 3)))
 
     def test_kernel_larger_than_input_is_error(self):
-        with pytest.raises(ShapeError, match="larger than input"):
+        with pytest.raises(ValueError, match="larger than input"):
             ad.conv2d(tracked(np.ones((1, 1, 3, 3))), tracked(np.ones((1, 1, 5, 5))), tracked([0.0]))
 
     def test_odd_conv_output_rejected(self):
-        with pytest.raises(ShapeError, match="even"):
+        with pytest.raises(ValueError, match="even"):
             ad.conv2d(tracked(np.ones((1, 1, 7, 8))), tracked(np.ones((1, 1, 2, 2))), tracked(np.zeros(1)))
 
     def test_tape_free_call_records_nothing(self, rng):
@@ -344,7 +345,7 @@ class TestMaxpool2:
         np.testing.assert_array_equal(grads[x], expected)
 
     def test_odd_spatial_dims_rejected(self):
-        with pytest.raises(ShapeError, match="even"):
+        with pytest.raises(ValueError, match="even"):
             ad.maxpool2(tracked(np.ones((1, 1, 3, 4))))
 
     def test_tape_free_call_records_nothing(self):
@@ -640,6 +641,39 @@ class TestCrossEntropyMean:
         p = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
         onehot = np.eye(5)[labels]
         np.testing.assert_allclose(grads[lt], (p - onehot) / 3.0, rtol=1e-12)
+
+
+# Each op's operand checks that no test above reaches: (op, operand shapes, message).
+BAD_OPERANDS = {
+    "linear-1d-input": (ad.linear, [(3,), (3, 2), (2,)], "linear expects 2-d operands, got (3,) and (3, 2)"),
+    "linear-bias": (ad.linear, [(1, 3), (3, 2), (3,)], "linear bias shape (3,) does not match weight (3, 2)"),
+    "conv2d-3d-input": (
+        ad.conv2d, [(1, 6, 6), (1, 1, 3, 3), (1,)], "conv2d expects 4-d operands, got (1, 6, 6) and (1, 1, 3, 3)"
+    ),
+    "conv2d-kernel-channels": (
+        ad.conv2d, [(1, 2, 6, 6), (1, 1, 3, 3), (1,)], "conv2d kernels (1, 1, 3, 3) do not match input (1, 2, 6, 6)"
+    ),
+    "conv2d-bias": (
+        ad.conv2d, [(1, 1, 6, 6), (2, 1, 3, 3), (1,)], "conv2d bias shape (1,) does not match kernels (2, 1, 3, 3)"
+    ),
+    "maxpool2-3d-input": (ad.maxpool2, [(1, 4, 4)], "maxpool2 expects a 4-d input, got (1, 4, 4)"),
+    "cross-entropy-1d-logits": (
+        lambda logits: ad.cross_entropy_mean(logits, np.zeros(4, dtype=np.int64)), [(4,)],
+        "cross_entropy_mean expects 2-d logits, got (4,)",
+    ),
+    "cross-entropy-labels": (
+        lambda logits: ad.cross_entropy_mean(logits, np.zeros(3, dtype=np.int64)), [(2, 10)],
+        "labels shape (3,) does not match batch 2",
+    ),
+    "add": (ad.add, [(2, 3), (3, 2)], "add requires matching shapes, got (2, 3) and (3, 2)"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_OPERANDS)
+def test_a_bad_operand_is_a_value_error(case):
+    op, shapes, message = BAD_OPERANDS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        op(*(tracked(np.ones(shape)) for shape in shapes))
 
 
 def is_batch_innermost(a):

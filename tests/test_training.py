@@ -478,6 +478,7 @@ def test_unknown_target_is_rejected_before_data_is_built(tmp_path, capsys, monke
         ("train.rho=0", "rho must be in (0, 1], got 0.0"),
         ("train.rho=1.5", "rho must be in (0, 1], got 1.5"),
         ("seeds=-1", "seeds must be >= 0, got -1"),
+        ("seeds=1,4294967297", "seeds must be < 4294967296, got 4294967297"),
         ("data.dev_size=0", "dev_size must be >= 1, got 0"),
         ("data.synthetic_n=0", "synthetic_n must be >= 1, got 0"),
         ("data.synthetic_test_n=0", "synthetic_test_n must be >= 1, got 0"),
@@ -573,6 +574,16 @@ def test_a_cache_count_beyond_the_file_is_a_cli_error(tmp_path, capsys):
     train.write_bytes(raw[:4] + struct.pack("<Q", 2**62) + raw[12:])
     line = config_error(tmp_path, capsys, f"data.source=auto\ndata.dir={train.parent}\n")
     assert f"{train}: truncated at offset {len(raw)} ({2**62 * 3136} bytes wanted from offset 12," in line
+
+
+@pytest.mark.parametrize("split", ["train", "test"])
+def test_an_empty_cache_file_is_a_cli_error(tmp_path, capsys, split):
+    empty = generated_train_cache(tmp_path).parent / data.cache_name(split, 7)
+    empty.write_bytes(data.CACHE_MAGIC + struct.pack("<Q", 0))
+    # a dev split the 30-example train pool can give, so only the empty file can stop the run
+    line = config_error(tmp_path, capsys, f"data.source=auto\ndata.dir={empty.parent}\ndata.dev_size=10\n")
+    assert line == f"error: {empty}: holds no examples"
+    assert not list((tmp_path / "runs").rglob("seed*.csv"))
 
 
 def write_idx_dir(directory, counts):
